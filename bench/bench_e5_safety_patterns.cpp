@@ -25,11 +25,11 @@ int run_experiment() {
   probes.input_shape = ds.input_shape;
   for (std::size_t i = 0; i < 16; ++i) probes.samples.push_back(ds.samples[i]);
 
-  // Supervisor for the safety-bag configuration.
-  supervise::AutoencoderSupervisor supervisor{16, 10, 0.05, 3};
-  supervisor.fit(model, ds);
+  // Supervisor for the safety-bag configuration: it scores the features
+  // the bag's TMR primary taps from the replica whose output it emits.
+  supervise::MahalanobisSupervisor supervisor;
   supervisor.calibrate_threshold(
-      supervise::collect_scores(supervisor, model, ds), 0.95);
+      supervisor.fit_scored(model, ds, dl::KernelMode::kAuto), 0.95);
   std::vector<float> fallback(dl::kRoadSceneClasses, 0.0f);
   fallback[static_cast<std::size_t>(dl::RoadSceneClass::kObstacle)] = 10.0f;
 
@@ -50,8 +50,11 @@ int run_experiment() {
   cases.push_back(
       {"tmr+safety-bag",
        std::make_unique<safety::SafetyBagChannel>(
-           std::make_unique<safety::TmrChannel>(model), &model, &supervisor,
-           fallback)});
+           std::make_unique<safety::TmrChannel>(
+               model,
+               dl::StaticEngineConfig{
+                   .pin_tap_layer = supervisor.feature_layer()}),
+           &model, &supervisor, fallback)});
 
   const safety::CampaignConfig cfg{.n_faults = 150,
                                    .probes_per_fault = 4,

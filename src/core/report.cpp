@@ -255,7 +255,7 @@ EvidenceItem make_ir_evidence(const CertifiablePipeline& pipeline) {
   std::ostringstream os;
   const dl::KernelPlan* fp =
       pipeline.channel() != nullptr
-          ? pipeline.channel()->float_kernel_plan()
+          ? pipeline.channel()->float_kernel_plan(0)
           : nullptr;
   const dl::QuantKernelPlan* qp =
       pipeline.quant_channel() != nullptr
@@ -315,7 +315,7 @@ EvidenceItem make_kernel_backend_evidence(const CertifiablePipeline& pipeline) {
      << "  SX_KERNEL_REFERENCE escape hatch it differs from the requested "
         "mode.\n";
   const dl::KernelPlan* fp = pipeline.channel() != nullptr
-                                 ? pipeline.channel()->float_kernel_plan()
+                                 ? pipeline.channel()->float_kernel_plan(0)
                                  : nullptr;
   const dl::QuantKernelPlan* qp =
       pipeline.quant_channel() != nullptr

@@ -29,9 +29,11 @@ struct StaticEngineConfig {
   bool check_numeric_faults = true;
   /// Extra arena headroom (floats) on top of the planned demand.
   std::size_t arena_slack = 0;
-  /// Hot-path kernel selection (see dl/plan.hpp). kAuto resolves to the
-  /// planned blocked kernels unless SX_KERNEL_REFERENCE is set in the
-  /// environment at construction time.
+  /// Hot-path kernel selection (see dl/plan.hpp). kAuto resolves, at
+  /// construction, to the wide plan when the CPU probe selects a SIMD arm
+  /// and to the packed plan otherwise — both snapshot weights into panels,
+  /// so in-place weight edits need repack() — unless SX_KERNEL_REFERENCE
+  /// forces the reference loops.
   KernelMode kernels = KernelMode::kAuto;
   /// Keep the activation feeding this layer materialized in the plan
   /// (fusion across it is blocked) so run_tapped can capture it. Ignored
@@ -99,8 +101,9 @@ class StaticEngine {
   const KernelPlan* kernel_plan() const noexcept { return plan_; }
   /// Re-snapshots packed weight panels from the live model parameters.
   /// Required after in-place weight mutation (fault injection, scrubbing)
-  /// under kPacked, where Dense/Conv2d weights were copied into panels at
-  /// plan time — without it the mutation is invisible to the hot path.
+  /// under kPacked/kWide — kAuto's plans — where Dense/Conv2d weights were
+  /// copied into panels at plan time; without it the mutation is
+  /// invisible to the hot path.
   /// No-op for reference/blocked modes; a shared plan must be repacked by
   /// its owner instead.
   void repack() noexcept {

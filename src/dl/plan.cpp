@@ -18,7 +18,13 @@ KernelMode resolve_kernel_mode(KernelMode requested) noexcept {
   const char* env = std::getenv("SX_KERNEL_REFERENCE");
   const bool forced =
       env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-  return forced ? KernelMode::kReference : KernelMode::kBlocked;
+  if (forced) return KernelMode::kReference;
+  // Otherwise the fastest plan the CPU attests: wide when the probe (after
+  // any SX_KERNEL_ISA narrowing) selects a SIMD arm, packed when only the
+  // portable scalar twin would run — packed's 4-lane panels beat it there.
+  return platform::select_wide_isa().isa != tensor::kernels::WideIsa::kScalar
+             ? KernelMode::kWide
+             : KernelMode::kPacked;
 }
 
 const char* kernel_mode_name(KernelMode mode) noexcept {

@@ -35,16 +35,18 @@
 // (tensor_kernels_test proves this differentially; tensor_golden_test's
 // pinned vectors stay valid).
 //
-// Staleness contract: kBlocked (the kAuto default) reads layer parameters
-// live on every run, so in-place weight mutation — e.g. the SEU campaigns
-// in safety/campaign.cpp injecting into a model behind a long-lived
-// engine — is observed exactly as the reference path observes it. kPacked
-// snapshots Dense weights into row-blocked panels and full
+// Staleness contract: kBlocked reads layer parameters live on every run.
+// kPacked snapshots Dense weights into row-blocked panels and full
 // kConvLanes-channel groups of Conv2d weights into tap-major lane panels
 // for unit-stride access; kWide does the same at its wider geometry
-// (kWideRowBlock rows, kWideConvLanes channels). Callers that mutate
-// weights afterwards must call repack(). The packed-conv tail channels,
-// and all conv weights in kBlocked mode, are always read live.
+// (kWideRowBlock rows, kWideConvLanes channels). Whoever mutates weights
+// in place behind a panelled plan must call repack() before the next run:
+// the safety channels do so inside inject_fault/undo_fault and expose
+// InferenceChannel::repack(i) for direct replica edits, so campaigns and
+// scrubs see exactly the bits the reference path would. The packed-conv
+// tail channels, and all conv weights in kBlocked mode, are always read
+// live. With every mutation site repacking, kAuto is free to resolve to
+// the fastest plan (see KernelMode::kAuto).
 //
 // kWide additionally selects, once, at construction, which SIMD variant
 // of the wide kernels runs (platform::CpuProbe + SX_KERNEL_ISA override);
@@ -75,8 +77,10 @@ namespace sx::dl {
 
 /// Hot-path kernel selection, resolved once at engine construction.
 enum class KernelMode : std::uint8_t {
-  kAuto,       ///< kBlocked unless the SX_KERNEL_REFERENCE env var forces
-               ///< the reference loops (differential-testing escape hatch)
+  kAuto,       ///< the fastest plan the CPU attests: kWide when the probe
+               ///< (after any SX_KERNEL_ISA narrowing) selects a SIMD arm,
+               ///< kPacked otherwise; SX_KERNEL_REFERENCE forces the
+               ///< reference loops (differential-testing escape hatch)
   kReference,  ///< original per-layer reference loops, no plan
   kBlocked,    ///< planned kernels over live layer parameters
   kPacked,     ///< kBlocked + Dense weights snapshotted into aligned panels
@@ -94,8 +98,10 @@ std::span<const KernelMode> all_kernel_modes() noexcept;
 /// "No pinned tap": the fusion pass may fuse every legal activation.
 inline constexpr std::size_t kNoPinnedTap = ~std::size_t{0};
 
-/// Applies the SX_KERNEL_REFERENCE escape hatch to kAuto (reads the
-/// environment; call at configuration time only, never on the hot path).
+/// Resolves kAuto: SX_KERNEL_REFERENCE forces kReference, else kWide when
+/// platform::select_wide_isa() picks a SIMD arm, else kPacked. Explicit
+/// modes pass through. Reads the environment and probes the CPU; call at
+/// configuration time only, never on the hot path.
 KernelMode resolve_kernel_mode(KernelMode requested) noexcept;
 
 const char* kernel_mode_name(KernelMode mode) noexcept;

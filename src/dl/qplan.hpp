@@ -31,8 +31,8 @@
 // including the per-layer saturation counters (dl_quant_kernels_test
 // proves both differentially).
 //
-// Staleness contract: kBlocked (the kAuto default) reads the quantized
-// weights live on every run. kPacked snapshots Dense rows and full
+// Staleness contract: kBlocked reads the quantized weights live on every
+// run. kPacked snapshots Dense rows and full
 // kQConvLanes-channel conv groups into panels; kWide does the same at the
 // widened geometry (kQWideRowBlock rows, kQWideConvLanes channels) and
 // additionally resolves, once, which SIMD variant of the wide int8
@@ -186,7 +186,9 @@ class QuantKernelPlan {
 struct QuantEngineConfig {
   /// Extra byte-arena capacity beyond the planned demand.
   std::size_t arena_slack = 0;
-  /// Hot-path kernel selection (kAuto honors SX_KERNEL_REFERENCE).
+  /// Hot-path kernel selection; kAuto resolves exactly like the float
+  /// plan's (wide on a probed SIMD arm, else packed; SX_KERNEL_REFERENCE
+  /// forces the reference loops).
   KernelMode kernels = KernelMode::kAuto;
 };
 

@@ -26,11 +26,18 @@ class RecoveryBlockChannel final : public InferenceChannel {
   Status infer(tensor::ConstTensorView in,
                std::span<float> out) noexcept override;
   std::size_t output_size() const noexcept override {
-    return primary_->output_shape().size();
+    return primary_.model().output_shape().size();
   }
   std::size_t replica_count() const noexcept override { return 2; }
   dl::Model& replica(std::size_t i) override {
-    return i == 0 ? *primary_ : *alternate_;
+    return i == 0 ? primary_.model() : alternate_.model();
+  }
+  void repack(std::size_t i) noexcept override {
+    (i == 0 ? primary_ : alternate_).repack();
+  }
+  const dl::KernelPlan* float_kernel_plan(
+      std::size_t i) const noexcept override {
+    return i == 0 ? primary_.plan() : i == 1 ? alternate_.plan() : nullptr;
   }
 
   /// Times the alternate was engaged.
@@ -39,10 +46,8 @@ class RecoveryBlockChannel final : public InferenceChannel {
   std::uint64_t double_failures() const noexcept { return double_failures_; }
 
  private:
-  std::unique_ptr<dl::Model> primary_;
-  std::unique_ptr<dl::Model> alternate_;
-  std::unique_ptr<dl::StaticEngine> primary_engine_;
-  std::unique_ptr<dl::StaticEngine> alternate_engine_;
+  FloatReplica primary_;
+  FloatReplica alternate_;
   SafetyMonitor acceptance_;
   std::uint64_t recoveries_ = 0;
   std::uint64_t double_failures_ = 0;

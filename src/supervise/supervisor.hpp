@@ -17,6 +17,7 @@
 
 #include "dl/dataset.hpp"
 #include "dl/model.hpp"
+#include "dl/plan.hpp"
 #include "obs/registry.hpp"
 #include "util/linalg.hpp"
 
@@ -44,7 +45,12 @@ class Supervisor {
 
   /// Accept/reject decision (requires a calibrated threshold).
   bool accept(const dl::Model& model, const tensor::Tensor& input) const {
-    const bool accepted = score(model, input) <= threshold_;
+    return accept_score(score(model, input));
+  }
+  /// accept() on a score computed elsewhere (e.g. from tapped features);
+  /// counts the rejection exactly like accept().
+  bool accept_score(double score) const noexcept {
+    const bool accepted = score <= threshold_;
     if (!accepted && obs_ != nullptr) obs_->add(rejections_id_);
     return accepted;
   }
@@ -89,12 +95,43 @@ class EnergySupervisor final : public Supervisor {
 
 /// Class-conditional Gaussian with tied covariance on penultimate-layer
 /// features; score = min over classes of the Mahalanobis distance.
+///
+/// The feature vector is the activation feeding the last Dense layer. fit()
+/// reads it through one tapped planned pass per sample
+/// (StaticEngine::run_tapped with that layer pinned) — bitwise the
+/// Model::forward_trace activation, without its per-layer heap tensors. At
+/// run time a channel that already computed the features scores them with
+/// score_from_features(); score() remains the self-contained
+/// forward_trace path.
 class MahalanobisSupervisor final : public Supervisor {
  public:
   std::string_view name() const noexcept override { return "mahalanobis"; }
+  /// fit_scored() under the default kernel plan, without the scores.
   void fit(const dl::Model& model, const dl::Dataset& id_data) override;
   double score(const dl::Model& model,
                const tensor::Tensor& input) const override;
+
+  /// Fits from one tapped pass per sample of `id_data` (engine built with
+  /// `kernels`, freed before returning) and returns every sample's score
+  /// under the fitted statistics, from the same features — the threshold
+  /// calibration set without a second pass. Every kernel mode yields the
+  /// same bits.
+  std::vector<double> fit_scored(const dl::Model& model,
+                                 const dl::Dataset& id_data,
+                                 dl::KernelMode kernels);
+
+  /// Fits from feature vectors captured elsewhere: `features` holds one
+  /// row of feature_layer_of(model)'s input activation per label,
+  /// row-major. The same arithmetic as fit(), so equal features give equal
+  /// means, covariance factor and scores, bit for bit.
+  void fit_from_features(const dl::Model& model,
+                         std::span<const float> features,
+                         std::span<const std::size_t> labels);
+
+  /// The layer whose input activation is the feature vector: the last
+  /// Dense layer of `model`. Structural — callable before fit(), e.g. to
+  /// pin the tap in a channel's plan. Throws when the model has no Dense.
+  static std::size_t feature_layer_of(const dl::Model& model);
 
   /// Index of the activation used as the feature vector (set by fit()).
   std::size_t feature_layer() const noexcept { return feature_layer_; }
@@ -107,10 +144,13 @@ class MahalanobisSupervisor final : public Supervisor {
   /// exact, so this is bitwise identical to score() on the same input.
   double score_from_features(std::span<const float> features) const;
 
- private:
-  std::vector<double> features_of(const dl::Model& model,
-                                  const tensor::Tensor& input) const;
+  /// Allocation-free, non-throwing score_from_features() for noexcept
+  /// paths: `scratch` must hold feature_dim() doubles. Returns +infinity
+  /// (reject) when unfitted or on a width mismatch. Same bits otherwise.
+  double score_from_features(std::span<const float> features,
+                             std::span<double> scratch) const noexcept;
 
+ private:
   std::size_t feature_layer_ = 0;
   std::size_t feature_dim_ = 0;
   std::vector<std::vector<double>> class_means_;

@@ -44,17 +44,22 @@ std::vector<double> cholesky_solve(const SquareMatrix& chol,
 }
 
 double mahalanobis_sq(const SquareMatrix& chol, const std::vector<double>& x) {
-  const std::size_t n = chol.n;
-  if (x.size() != n) throw std::invalid_argument("mahalanobis_sq: size");
-  // Solve L y = x; then distance^2 = y . y.
+  if (x.size() != chol.n) throw std::invalid_argument("mahalanobis_sq: size");
   std::vector<double> y(x);
+  return mahalanobis_sq_in_place(chol, y);
+}
+
+double mahalanobis_sq_in_place(const SquareMatrix& chol,
+                               std::span<double> y) noexcept {
+  // Solve L y = x; then distance^2 = y . y.
+  const std::size_t n = chol.n;
   for (std::size_t i = 0; i < n; ++i) {
     double s = y[i];
     for (std::size_t k = 0; k < i; ++k) s -= chol.at(i, k) * y[k];
     y[i] = s / chol.at(i, i);
   }
   double acc = 0.0;
-  for (double v : y) acc += v * v;
+  for (std::size_t i = 0; i < n; ++i) acc += y[i] * y[i];
   return acc;
 }
 

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace sx::util {
@@ -30,5 +31,11 @@ std::vector<double> cholesky_solve(const SquareMatrix& chol,
 /// x^T A^{-1} x via two triangular solves with the Cholesky factor.
 double mahalanobis_sq(const SquareMatrix& chol,
                       const std::vector<double>& x);
+
+/// mahalanobis_sq() without the copy: solves L y = x in place (x is
+/// overwritten by y) and returns y . y, bitwise equal to mahalanobis_sq.
+/// Precondition: x.size() == chol.n. No allocation, no throw.
+double mahalanobis_sq_in_place(const SquareMatrix& chol,
+                               std::span<double> x) noexcept;
 
 }  // namespace sx::util

@@ -4,7 +4,8 @@
 // Three contracts:
 //   1. Mode plumbing — resolve_kernel_mode / kernel_mode_name /
 //      all_kernel_modes stay exhaustive and consistent (the scenario
-//      matrix and the evidence records key on these strings).
+//      matrix and the evidence records key on these strings), and kAuto
+//      resolves to the probed wide plan (packed without a SIMD arm).
 //   2. Selection — platform::select_wide_isa honors SX_KERNEL_ISA only
 //      when the probe confirms the feature, refuses unknown/unavailable
 //      tokens to the scalar twin (never UB), and the audit line records
@@ -91,6 +92,37 @@ TEST(WideKernelMode, ResolveNeverOverridesExplicitWide) {
   EXPECT_EQ(resolve_kernel_mode(KernelMode::kAuto), KernelMode::kReference);
   ASSERT_EQ(unsetenv("SX_KERNEL_REFERENCE"), 0);
   EXPECT_EQ(resolve_kernel_mode(KernelMode::kWide), KernelMode::kWide);
+}
+
+TEST(WideKernelMode, AutoResolvesToTheProbedWidePlan) {
+  ASSERT_EQ(unsetenv("SX_KERNEL_REFERENCE"), 0);
+  ASSERT_EQ(unsetenv("SX_KERNEL_ISA"), 0);
+  const platform::CpuProbe probe = platform::probe_cpu();
+  // A probed SIMD arm (avx2 or avx512) makes the wide plan the default;
+  // a host with neither gets packed, which beats wide's scalar twin.
+  EXPECT_EQ(resolve_kernel_mode(KernelMode::kAuto),
+            probe.avx2 || probe.avx512f ? KernelMode::kWide
+                                        : KernelMode::kPacked);
+  if (probe.avx2) {
+    ASSERT_EQ(setenv("SX_KERNEL_ISA", "avx2", 1), 0);
+    EXPECT_EQ(resolve_kernel_mode(KernelMode::kAuto), KernelMode::kWide);
+  }
+  if (probe.avx512f) {
+    ASSERT_EQ(setenv("SX_KERNEL_ISA", "avx512", 1), 0);
+    EXPECT_EQ(resolve_kernel_mode(KernelMode::kAuto), KernelMode::kWide);
+  }
+  // Narrowed to the scalar twin (or a refused override, which also runs
+  // it): packed.
+  ASSERT_EQ(setenv("SX_KERNEL_ISA", "scalar", 1), 0);
+  EXPECT_EQ(resolve_kernel_mode(KernelMode::kAuto), KernelMode::kPacked);
+  ASSERT_EQ(setenv("SX_KERNEL_ISA", "not-an-isa", 1), 0);
+  EXPECT_EQ(resolve_kernel_mode(KernelMode::kAuto), KernelMode::kPacked);
+  // The escape hatch still wins over any probe outcome.
+  ASSERT_EQ(setenv("SX_KERNEL_REFERENCE", "1", 1), 0);
+  EXPECT_EQ(resolve_kernel_mode(KernelMode::kAuto), KernelMode::kReference);
+  ASSERT_EQ(unsetenv("SX_KERNEL_ISA"), 0);
+  EXPECT_EQ(resolve_kernel_mode(KernelMode::kAuto), KernelMode::kReference);
+  ASSERT_EQ(unsetenv("SX_KERNEL_REFERENCE"), 0);
 }
 
 // --------------------------------------------------------- ISA selection
@@ -315,6 +347,52 @@ TEST(WideBackendRecord, Int8BackendForwardsKernelModeToQuantChannel) {
   const core::EvidenceItem item = core::make_kernel_backend_evidence(p);
   EXPECT_NE(item.body.find("plan=int8 mode=wide isa="), std::string::npos)
       << item.body;
+}
+
+TEST(WideBackendRecord, DefaultDeploymentRecordsTheProbedPlan) {
+  ASSERT_EQ(unsetenv("SX_KERNEL_REFERENCE"), 0);
+  ASSERT_EQ(unsetenv("SX_KERNEL_ISA"), 0);
+  const platform::CpuProbe probe = platform::probe_cpu();
+  core::PipelineConfig cfg;
+  cfg.criticality = core::Criticality::kSil2;
+  core::CertifiablePipeline p{sx::testing::trained_mlp(),
+                              sx::testing::road_data(), cfg};
+  const auto* e = find_entry(p.audit(), "kernel-backend");
+  ASSERT_NE(e, nullptr);
+  if (probe.avx2 || probe.avx512f) {
+    EXPECT_EQ(e->payload.rfind("requested=auto resolved=wide; probe ", 0), 0u)
+        << e->payload;
+  } else {
+    EXPECT_EQ(e->payload, "requested=auto resolved=packed") << e->payload;
+  }
+}
+
+TEST(WideBackendRecord, RedundantPatternsRecordEveryReplica) {
+  // SIL3 (DMR) replicas are built from cfg.kernel_mode, and the record
+  // reads each replica's mode off the plan it actually built.
+  for (const KernelMode mode : all_kernel_modes()) {
+    core::PipelineConfig cfg;
+    cfg.criticality = core::Criticality::kSil3;
+    cfg.timing_budget = 1u << 20;
+    cfg.kernel_mode = mode;
+    core::CertifiablePipeline p{sx::testing::trained_mlp(),
+                                sx::testing::road_data(), cfg};
+    const safety::InferenceChannel& ch = *p.channel();
+    ASSERT_EQ(ch.replica_count(), 2u);
+    std::string want = "replicas=";
+    for (std::size_t i = 0; i < ch.replica_count(); ++i) {
+      const KernelPlan* plan = ch.float_kernel_plan(i);
+      EXPECT_EQ(plan != nullptr ? plan->mode() : KernelMode::kReference, mode)
+          << kernel_mode_name(mode) << " replica " << i;
+      want += std::string(i == 0 ? "" : ",") + kernel_mode_name(mode);
+    }
+    EXPECT_NE(p.kernel_backend().find(
+                  std::string("resolved=") + kernel_mode_name(mode)),
+              std::string::npos)
+        << p.kernel_backend();
+    EXPECT_NE(p.kernel_backend().find(want), std::string::npos)
+        << p.kernel_backend();
+  }
 }
 
 TEST(WideBackendRecord, EscapeHatchRecordsResolvedReferenceMode) {

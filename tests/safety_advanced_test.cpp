@@ -146,6 +146,7 @@ TEST(RecoveryBlock, AlternateTakesOverOnPrimaryFault) {
   // Poison the primary so its outputs go non-finite.
   ch.replica(0).layer(1).params()[0] =
       std::numeric_limits<float>::infinity();
+  ch.repack(0);  // the default plan computes from weight panels
   std::vector<float> out(ch.output_size());
   for (std::size_t i = 0; i < 10; ++i)
     EXPECT_EQ(ch.infer(data().samples[i].input.view(), out), Status::kOk)
@@ -160,6 +161,8 @@ TEST(RecoveryBlock, DoubleFaultFailsStop) {
       std::numeric_limits<float>::infinity();
   ch.replica(1).layer(1).params()[0] =
       std::numeric_limits<float>::infinity();
+  ch.repack(0);
+  ch.repack(1);
   std::vector<float> out(ch.output_size());
   EXPECT_EQ(ch.infer(data().samples[0].input.view(), out),
             Status::kRedundancyFault);

@@ -382,8 +382,9 @@ TEST(KernelPlanEngine, NumericFaultParityWithFusedActivations) {
 
 TEST(KernelPlanEngine, BlockedModeObservesLiveWeightMutation) {
   // The SEU campaigns mutate weights behind a long-lived engine; kBlocked
-  // (the default) must observe the mutation exactly as reference does,
-  // while kPacked holds its deploy-time snapshot until repack().
+  // must observe the mutation exactly as reference does, while kPacked
+  // (like kWide, the plans kAuto resolves to) holds its deploy-time
+  // snapshot until repack().
   Model m = sx::testing::trained_mlp();
   StaticEngine ref{m, {.kernels = KernelMode::kReference}};
   StaticEngine blocked{m, {.kernels = KernelMode::kBlocked}};
@@ -432,17 +433,20 @@ TEST(KernelPlanEngine, ArenaDemandMatchesIndependentDerivation) {
 }
 
 TEST(KernelPlanEngine, ReferenceEscapeHatchEnvVar) {
+  // Unforced, kAuto resolves to the fastest probed plan (see
+  // dl_kernel_mode_test for the probe rule); never to the reference loops.
   ASSERT_EQ(unsetenv("SX_KERNEL_REFERENCE"), 0);
-  EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto), KernelMode::kBlocked);
+  const KernelMode fastest = dl::resolve_kernel_mode(KernelMode::kAuto);
+  EXPECT_NE(fastest, KernelMode::kReference);
   ASSERT_EQ(setenv("SX_KERNEL_REFERENCE", "1", 1), 0);
   EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto),
             KernelMode::kReference);
   // Explicit modes are never overridden; "0" and empty do not force.
   EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kPacked), KernelMode::kPacked);
   ASSERT_EQ(setenv("SX_KERNEL_REFERENCE", "0", 1), 0);
-  EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto), KernelMode::kBlocked);
+  EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto), fastest);
   ASSERT_EQ(setenv("SX_KERNEL_REFERENCE", "", 1), 0);
-  EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto), KernelMode::kBlocked);
+  EXPECT_EQ(dl::resolve_kernel_mode(KernelMode::kAuto), fastest);
 
   ASSERT_EQ(setenv("SX_KERNEL_REFERENCE", "1", 1), 0);
   const Model& m = sx::testing::trained_mlp();
@@ -451,7 +455,7 @@ TEST(KernelPlanEngine, ReferenceEscapeHatchEnvVar) {
   EXPECT_EQ(forced.kernel_plan(), nullptr);
   ASSERT_EQ(unsetenv("SX_KERNEL_REFERENCE"), 0);
   StaticEngine normal{m};
-  EXPECT_EQ(normal.kernel_mode(), KernelMode::kBlocked);
+  EXPECT_EQ(normal.kernel_mode(), fastest);
 }
 
 TEST(KernelPlanBatch, WorkerCountsBitwiseIdenticalToReference) {
