@@ -341,6 +341,11 @@ struct FaultCase {
   bool layout;
 };
 
+// Printed by name. gtest's fallback dumps the struct's bytes, which hold
+// the literal's address, so every build (and every ASLR draw) would list
+// the tests under different names.
+void PrintTo(const FaultCase& fc, std::ostream* os) { *os << fc.fault; }
+
 class IrFaultRefusal : public ::testing::TestWithParam<FaultCase> {
  protected:
   void TearDown() override { unsetenv("SX_IR_PASS_FAULT"); }
