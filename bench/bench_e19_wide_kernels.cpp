@@ -14,8 +14,10 @@
 //   1. float matvec at 128/192/256/512 (the 128/192 panels are
 //      L1/L2-resident, where lane width shows up undiluted by memory):
 //      matvec_packed vs matvec_wide_{scalar,avx2,avx512};
-//   2. float Conv2d GEMM on 16- and 32-channel geometries:
-//      conv2d_im2col_packed vs conv2d_im2col_wide_*;
+//   2. one Conv2d step, float and int8, on the deployed CNN's two
+//      8-channel convs and two wider geometries: kPacked's gather +
+//      panel GEMM vs kWide's direct kernels (conv2d_direct_*,
+//      qconv2d_direct_*), which read the input in place;
 //   3. int8 matvec at the same sizes: qmatvec_packed vs qmatvec_wide_*
 //      (saturation counters compared as well as output bytes).
 // Every rung first proves bitwise identity of everything it times.
@@ -62,24 +64,20 @@ bool bits_equal(const std::vector<float>& a, const std::vector<float>& b) {
 struct IsaRow {
   k::WideIsa isa;
   k::DenseKernelFn dense;
-  k::ConvKernelFn conv;
+  k::DirectConvKernelFn conv;
   qk::QDenseKernelFn qdense;
+  qk::QDirectConvKernelFn qconv;
 };
 
 std::vector<IsaRow> probed_rows(const sx::platform::CpuProbe& probe) {
   std::vector<IsaRow> rows;
-  rows.push_back({k::WideIsa::kScalar, k::wide_dense_kernel(k::WideIsa::kScalar),
-                  k::wide_conv_kernel(k::WideIsa::kScalar),
-                  qk::wide_qdense_kernel(k::WideIsa::kScalar)});
-  if (probe.avx2)
-    rows.push_back({k::WideIsa::kAvx2, k::wide_dense_kernel(k::WideIsa::kAvx2),
-                    k::wide_conv_kernel(k::WideIsa::kAvx2),
-                    qk::wide_qdense_kernel(k::WideIsa::kAvx2)});
-  if (probe.avx512f)
-    rows.push_back({k::WideIsa::kAvx512,
-                    k::wide_dense_kernel(k::WideIsa::kAvx512),
-                    k::wide_conv_kernel(k::WideIsa::kAvx512),
-                    qk::wide_qdense_kernel(k::WideIsa::kAvx512)});
+  auto row = [](k::WideIsa isa) {
+    return IsaRow{isa, k::wide_dense_kernel(isa), k::wide_conv_kernel(isa),
+                  qk::wide_qdense_kernel(isa), qk::wide_qconv_kernel(isa)};
+  };
+  rows.push_back(row(k::WideIsa::kScalar));
+  if (probe.avx2) rows.push_back(row(k::WideIsa::kAvx2));
+  if (probe.avx512f) rows.push_back(row(k::WideIsa::kAvx512));
   return rows;
 }
 
@@ -202,15 +200,24 @@ int main(int argc, char** argv) {
     all_ok = all_ok && identical;
   }
 
-  // ------------------------------------------- 2. float Conv2d GEMM micro
+  // ------------------------------------------- 2. Conv2d micro
+  // One conv step as each plan executes it: kPacked gathers the ragged
+  // im2col column and runs the 4-lane (float) / 8-lane (int8) panel GEMM;
+  // kWide runs the direct kernel over the CHW input in place. The first
+  // two geometries are the deployed perception CNN's convs (8 output
+  // channels, 3x3, stride 1, pad 1 on 16x16); the last two are wider.
   {
     struct Geom {
       std::size_t out_c, in_c, hw;
+      const char* tag;
     };
-    const std::vector<Geom> geoms = {{16, 8, 16}, {32, 16, 12}};
+    const std::vector<Geom> geoms = {{8, 1, 16, "deployed conv1"},
+                                     {8, 8, 16, "deployed conv2"},
+                                     {16, 8, 16, "16ch"},
+                                     {32, 16, 12, "32ch"}};
     bool identical = true;
-    util::Table table({"float conv2d 3x3", "packed us", "wide us (best)",
-                       "isa", "speedup"});
+    util::Table table({"conv2d 3x3", "dtype", "packed us",
+                       "direct us (best)", "isa", "speedup"});
     for (const Geom& gm : geoms) {
       const k::Conv2dGeom g{.in_c = gm.in_c, .in_h = gm.hw, .in_w = gm.hw,
                             .out_c = gm.out_c, .k = 3, .stride = 1,
@@ -222,18 +229,22 @@ int main(int argc, char** argv) {
       const k::ConvTables t{.out_c = gm.out_c, .patch = g.patch(),
                             .opix = g.opix(), .pix_off = pix_off.data(),
                             .in_idx = in_idx.data(), .w_ofs = w_ofs.data()};
-
-      util::Xoshiro256 rng{gm.out_c};
-      std::vector<float> wt(gm.out_c * g.patch()), bias(gm.out_c),
-          col(entries);
-      for (auto& v : wt)
-        v = static_cast<float>(rng() % 2001) * 1e-3f - 1.0f;
-      for (auto& v : bias)
-        v = static_cast<float>(rng() % 2001) * 1e-3f - 1.0f;
-      for (auto& v : col)
-        v = static_cast<float>(rng() % 2001) * 1e-3f - 1.0f;
-
+      const std::size_t in_n = gm.in_c * gm.hw * gm.hw;
       const std::size_t out_n = gm.out_c * g.opix();
+      const std::string tag = "conv" + std::to_string(gm.out_c) + "c" +
+                              std::to_string(gm.in_c) + "i";
+
+      // float: reference = the unpacked im2col kernel (bitwise equal to
+      // Conv2d::forward, tensor_kernels_test).
+      util::Xoshiro256 rng{gm.out_c * 31 + gm.in_c};
+      auto uniform = [&rng] {
+        return static_cast<float>(rng() % 2001) * 1e-3f - 1.0f;
+      };
+      std::vector<float> wt(gm.out_c * g.patch()), bias(gm.out_c),
+          img(in_n), col(entries);
+      for (auto& v : wt) v = uniform();
+      for (auto& v : bias) v = uniform();
+      for (auto& v : img) v = uniform();
       std::vector<float> ref(out_n), pck(out_n), wide(out_n);
       std::vector<float> packed_panel(k::conv_panel_floats(gm.out_c,
                                                            g.patch()));
@@ -243,65 +254,123 @@ int main(int argc, char** argv) {
                                                               g.patch()));
       k::pack_wide_conv_panel(wt.data(), gm.out_c, g.patch(),
                               wide_panel.data());
-
+      k::im2col_gather(img.data(), in_idx.data(), entries, col.data());
       (void)k::conv2d_im2col(wt.data(), bias.data(), t, col.data(),
-                             ref.data(), k::Epilogue::kNone, false);
-      (void)k::conv2d_im2col_packed(packed_panel.data(), wt.data(),
-                                    bias.data(), t, col.data(), pck.data(),
-                                    k::Epilogue::kNone, false);
+                             ref.data(), k::Epilogue::kRelu, false);
+      auto packed_step = [&] {
+        k::im2col_gather(img.data(), in_idx.data(), entries, col.data());
+        (void)k::conv2d_im2col_packed(packed_panel.data(), wt.data(),
+                                      bias.data(), t, col.data(), pck.data(),
+                                      k::Epilogue::kRelu, false);
+      };
+      packed_step();
       identical = identical && bits_equal(pck, ref);
       for (const IsaRow& row : rows) {
-        (void)row.conv(wide_panel.data(), wt.data(), bias.data(), t,
-                       col.data(), wide.data(), k::Epilogue::kNone, false);
+        (void)row.conv(wide_panel.data(), wt.data(), bias.data(), g,
+                       img.data(), wide.data(), k::Epilogue::kRelu, false);
         identical = identical && bits_equal(wide, ref);
       }
 
-      double t_pck = 1e300;
-      std::vector<double> t_wide(rows.size(), 1e300);
+      // int8: reference = the unpacked int8 im2col kernel (bitwise equal
+      // to QuantizedModel::run, dl_quant_kernels_test), clips included.
+      std::vector<std::int8_t> qwt(wt.size()), qimg(in_n), qcol(entries);
+      for (auto& v : qwt)
+        v = static_cast<std::int8_t>(static_cast<int>(rng() % 255) - 127);
+      for (auto& v : qimg)
+        v = static_cast<std::int8_t>(static_cast<int>(rng() % 255) - 127);
+      std::vector<float> w_scale(gm.out_c, 0.004f);
+      const qk::Requant rq{.w_scales = w_scale.data(),
+                           .per_channel = true,
+                           .bias = bias.data(),
+                           .in_scale = 0.02f,
+                           .out_scale = 0.05f,
+                           .relu = true};
+      std::vector<std::int8_t> qref(out_n), qpck(out_n), qwide(out_n);
+      std::vector<std::int8_t> qpacked_panel(
+          qk::qconv_panel_bytes(gm.out_c, g.patch()));
+      qk::pack_qconv_panel(qwt.data(), gm.out_c, g.patch(),
+                           qpacked_panel.data());
+      std::vector<std::int8_t> qwide_panel(
+          qk::qwide_conv_panel_bytes(gm.out_c, g.patch()));
+      qk::pack_qwide_conv_panel(qwt.data(), gm.out_c, g.patch(),
+                                qwide_panel.data());
+      const std::int8_t* qwide_arg =
+          qwide_panel.empty() ? nullptr : qwide_panel.data();
+      std::uint64_t sat_ref = 0, sat_pck = 0, sat_wide = 0;
+      qk::im2col_gather_i8(qimg.data(), in_idx.data(), entries, qcol.data());
+      qk::qconv2d_im2col(qwt.data(), t, qcol.data(), rq, qref.data(),
+                         &sat_ref);
+      auto qpacked_step = [&] {
+        qk::im2col_gather_i8(qimg.data(), in_idx.data(), entries,
+                             qcol.data());
+        qk::qconv2d_im2col_packed(qpacked_panel.data(), qwt.data(), t,
+                                  qcol.data(), rq, qpck.data(), &sat_pck);
+      };
+      qpacked_step();
+      identical = identical && qpck == qref && sat_pck == sat_ref;
+      for (const IsaRow& row : rows) {
+        sat_wide = 0;
+        row.qconv(qwide_arg, qwt.data(), g, qimg.data(), rq, qwide.data(),
+                  &sat_wide);
+        identical = identical && qwide == qref && sat_wide == sat_ref;
+      }
+
+      double t_pck = 1e300, t_qpck = 1e300;
+      std::vector<double> t_wide(rows.size(), 1e300),
+          t_qwide(rows.size(), 1e300);
       for (std::size_t r = 0; r < reps; ++r) {
-        t_pck = std::min(
-            t_pck, bench::time_per_call_us(
-                       [&] {
-                         (void)k::conv2d_im2col_packed(
-                             packed_panel.data(), wt.data(), bias.data(), t,
-                             col.data(), pck.data(), k::Epilogue::kNone,
-                             false);
-                       },
-                       calls));
-        for (std::size_t i = 0; i < rows.size(); ++i)
+        t_pck = std::min(t_pck, bench::time_per_call_us(packed_step, calls));
+        t_qpck =
+            std::min(t_qpck, bench::time_per_call_us(qpacked_step, calls));
+        for (std::size_t i = 0; i < rows.size(); ++i) {
           t_wide[i] = std::min(
               t_wide[i], bench::time_per_call_us(
                              [&] {
                                (void)rows[i].conv(
                                    wide_panel.data(), wt.data(), bias.data(),
-                                   t, col.data(), wide.data(),
-                                   k::Epilogue::kNone, false);
+                                   g, img.data(), wide.data(),
+                                   k::Epilogue::kRelu, false);
                              },
                              calls));
+          t_qwide[i] = std::min(
+              t_qwide[i], bench::time_per_call_us(
+                              [&] {
+                                rows[i].qconv(qwide_arg, qwt.data(), g,
+                                              qimg.data(), rq, qwide.data(),
+                                              &sat_wide);
+                              },
+                              calls));
+        }
       }
 
-      const std::string tag = "conv" + std::to_string(gm.out_c) + "c";
-      std::size_t best = 0;
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        json.add(tag + "_us_wide_" + k::wide_isa_name(rows[i].isa),
-                 t_wide[i]);
-        if (t_wide[i] < t_wide[best]) best = i;
-      }
-      json.add(tag + "_us_packed", t_pck);
-      json.add(tag + "_speedup", t_pck / t_wide[best]);
-      table.add_row({std::to_string(gm.out_c) + "ch " +
-                         std::to_string(gm.in_c) + "x" +
-                         std::to_string(gm.hw) + "x" + std::to_string(gm.hw),
-                     util::fmt(t_pck, 2), util::fmt(t_wide[best], 2),
-                     k::wide_isa_name(rows[best].isa),
-                     util::fmt(t_pck / t_wide[best], 2) + "x"});
+      auto report = [&](const char* dtype, const std::string& key,
+                        double packed_us, const std::vector<double>& ts) {
+        std::size_t best = 0;
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+          json.add(key + "_us_direct_" + k::wide_isa_name(rows[i].isa),
+                   ts[i]);
+          if (ts[i] < ts[best]) best = i;
+        }
+        json.add(key + "_us_packed", packed_us);
+        json.add(key + "_speedup", packed_us / ts[best]);
+        table.add_row({std::string(gm.tag) + " " + std::to_string(gm.in_c) +
+                           "x" + std::to_string(gm.hw) + "x" +
+                           std::to_string(gm.hw) + "->" +
+                           std::to_string(gm.out_c),
+                       dtype, util::fmt(packed_us, 2), util::fmt(ts[best], 2),
+                       k::wide_isa_name(rows[best].isa),
+                       util::fmt(packed_us / ts[best], 2) + "x"});
+      };
+      report("float", tag, t_pck, t_wide);
+      report("int8", "q" + tag, t_qpck, t_qwide);
     }
     table.print(std::cout);
     std::cout << "\n";
     bench::print_verdict(identical,
-                         "float conv2d: packed and every probed wide "
-                         "variant are bitwise identical to conv2d_im2col "
-                         "on 16- and 32-channel geometries");
+                         "conv2d: packed (gather + GEMM) and every probed "
+                         "direct variant are bitwise identical to the "
+                         "unpacked im2col kernels, float and int8 (clip "
+                         "counters included)");
     all_ok = all_ok && identical;
   }
 

@@ -342,16 +342,20 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
   // (post SX_KERNEL_REFERENCE, post CPU probe), not just the requested one
   // — under the escape hatch the two differ, and evidence attributed to
   // the requested mode would misstate what executed. For kWide the probe /
-  // SX_KERNEL_ISA decision rides along verbatim; a redundant float channel
-  // adds one mode per replica, read from the plan each replica built.
+  // SX_KERNEL_ISA decision rides along verbatim, every plan names how it
+  // lowers convs and pools (KernelPlan::lowering), and a redundant float
+  // channel adds one mode per replica, read from the plan each replica
+  // built.
   {
     dl::KernelMode resolved = dl::resolve_kernel_mode(cfg_.kernel_mode);
     std::string wide_audit;
     std::string replicas;
+    std::string lowering;
     const dl::QuantKernelPlan* qp =
         qchannel_ != nullptr ? qchannel_->kernel_plan() : nullptr;
     if (qp != nullptr) {
       resolved = qp->mode();
+      lowering = qp->lowering();
       if (resolved == dl::KernelMode::kWide)
         wide_audit = platform::wide_isa_audit(qp->cpu_probe(),
                                               qp->isa_selection());
@@ -361,10 +365,11 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
         return p != nullptr ? p->mode() : dl::KernelMode::kReference;
       };
       resolved = mode_of(0);
-      if (resolved == dl::KernelMode::kWide) {
-        const dl::KernelPlan& fp = *channel_->float_kernel_plan(0);
-        wide_audit =
-            platform::wide_isa_audit(fp.cpu_probe(), fp.isa_selection());
+      if (const dl::KernelPlan* fp = channel_->float_kernel_plan(0)) {
+        lowering = fp->lowering();
+        if (resolved == dl::KernelMode::kWide)
+          wide_audit =
+              platform::wide_isa_audit(fp->cpu_probe(), fp->isa_selection());
       }
       if (channel_->replica_count() > 1) {
         replicas = "replicas=";
@@ -377,6 +382,7 @@ CertifiablePipeline::CertifiablePipeline(const dl::Model& model,
         "requested=" + std::string(dl::kernel_mode_name(cfg_.kernel_mode)) +
         " resolved=" + std::string(dl::kernel_mode_name(resolved));
     if (!wide_audit.empty()) kernel_backend_ += "; " + wide_audit;
+    if (!lowering.empty()) kernel_backend_ += "; " + lowering;
     if (!replicas.empty()) kernel_backend_ += "; " + replicas;
     audit_.append(0, "kernel-backend", "deploy", kernel_backend_);
   }

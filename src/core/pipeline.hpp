@@ -133,7 +133,8 @@ class CertifiablePipeline {
   /// kernel mode, the mode actually deployed (post resolve_kernel_mode,
   /// i.e. after the SX_KERNEL_REFERENCE escape hatch), and — when the
   /// deployed plan is kWide — the CPU-probe / SX_KERNEL_ISA selection
-  /// audit. Also appended to the audit log as the "kernel-backend" entry
+  /// audit, then the plan's lowering ("conv=direct pool=1"; none under
+  /// the reference loops). Also appended to the audit log as the "kernel-backend" entry
   /// and published in the certification report's SX_KERNEL_BACKEND block,
   /// so evidence is never misattributed to a mode that did not run.
   const std::string& kernel_backend() const noexcept {

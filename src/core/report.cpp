@@ -330,14 +330,14 @@ EvidenceItem make_kernel_backend_evidence(const CertifiablePipeline& pipeline) {
     if (fp->mode() == dl::KernelMode::kWide)
       os << " isa="
          << tensor::kernels::wide_isa_name(fp->isa_selection().isa);
-    os << '\n';
+    os << ' ' << fp->lowering() << '\n';
   }
   if (qp != nullptr) {
     os << "plan=int8 mode=" << dl::kernel_mode_name(qp->mode());
     if (qp->mode() == dl::KernelMode::kWide)
       os << " isa="
          << tensor::kernels::wide_isa_name(qp->isa_selection().isa);
-    os << '\n';
+    os << ' ' << qp->lowering() << '\n';
   }
   os << "# END SX_KERNEL_BACKEND\n";
   return EvidenceItem{"Resolved kernel backend (CPU-probe selection)",

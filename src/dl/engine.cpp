@@ -162,12 +162,21 @@ Status StaticEngine::run_planned(tensor::ConstTensorView input,
                             s.epilogue, pre_check);
         break;
       case KernelStep::Kind::kConv2d: {
+        if (s.direct_fn != nullptr) {
+          // kWide: direct convolution over the input in place, no gather.
+          pre_ok = s.direct_fn(s.panel, s.weights, s.bias, s.geom, in, out,
+                               s.epilogue, pre_check);
+          break;
+        }
         float* scratch = base + s.scratch_offset;
         k::im2col_gather(in, s.conv.in_idx, s.scratch, scratch);
         pre_ok = s.conv_fn(s.panel, s.weights, s.bias, s.conv, scratch, out,
                            s.epilogue, pre_check);
         break;
       }
+      case KernelStep::Kind::kMaxPool:
+        k::maxpool2d(s.pool, in, out);
+        break;
       case KernelStep::Kind::kReference: {
         const tensor::ConstTensorView vin{
             std::span<const float>(in, s.in_elems), s.in_shape};

@@ -226,13 +226,26 @@ KernelPlan::KernelPlan(const Model& model, KernelMode mode,
           pf += pfl;
         }
       }
-      // A conv too narrow for its lane panel (panel == nullptr) runs the
-      // live-weight kernel in every planned mode.
-      s.conv_fn = s.panel == nullptr ? &k::conv2d_im2col_live
-                  : mode_ == KernelMode::kPacked
-                      ? &k::conv2d_im2col_packed
-                      : k::wide_conv_kernel(isa_sel_.isa);
+      s.geom = g;
+      if (mode_ == KernelMode::kWide) {
+        // Direct convolution over the input in place, every geometry; a
+        // conv too narrow for a panel group reads the live weights.
+        s.direct_fn = k::wide_conv_kernel(isa_sel_.isa);
+      } else {
+        // im2col: a conv too narrow for its lane panel (panel == nullptr)
+        // runs the live-weight kernel.
+        s.conv_fn = s.panel == nullptr ? &k::conv2d_im2col_live
+                                       : &k::conv2d_im2col_packed;
+      }
       ++planned_conv_;
+    } else if (op.kind == ir::OpKind::kMaxPool2d) {
+      const auto& mp = static_cast<const MaxPool2d&>(model.layer(op.layer));
+      s.kind = KernelStep::Kind::kMaxPool;
+      s.pool = k::PoolGeom{.c = s.in_shape.dim(0),
+                           .in_h = s.in_shape.dim(1),
+                           .in_w = s.in_shape.dim(2),
+                           .window = mp.window()};
+      ++planned_pool_;
     } else {
       s.kind = KernelStep::Kind::kReference;
       s.ref_layer = &model.layer(op.layer);
@@ -267,13 +280,20 @@ void KernelPlan::repack() noexcept {
   }
 }
 
+std::string KernelPlan::lowering() const {
+  return std::string("conv=") +
+         (mode_ == KernelMode::kWide ? "direct" : "im2col") +
+         " pool=" + std::to_string(planned_pool_);
+}
+
 std::string KernelPlan::summary() const {
   std::ostringstream os;
   os << "mode=" << kernel_mode_name(mode_) << " steps=" << step_count_ << "/"
      << model_->layer_count() << " layers (dense=" << planned_dense_
      << " conv=" << planned_conv_ << " fused-act=" << fused_
-     << " removed=" << removed_ << " reference=" << reference_
-     << "), arena=" << layout_.total_elems << "/" << layout_.naive_elems
+     << " removed=" << removed_
+     << " reference=" << reference_ << "), lowering " << lowering()
+     << ", arena=" << layout_.total_elems << "/" << layout_.naive_elems
      << " floats, im2col entries=" << table_entries_
      << ", scratch=" << scratch_floats_ << " floats, panels=" << panel_floats_
      << " floats";

@@ -12,16 +12,24 @@
 //     tensor/kernels.hpp; in kPacked mode their weights are additionally
 //     repacked into cache-line-aligned row-blocked panels owned by the
 //     plan (a deploy-time snapshot — see the staleness contract below);
-//   - Conv2d layers are lowered to gather + blocked GEMM through ragged
-//     im2col index tables precomputed here; the gathered column is an
-//     arena slot assigned by the liveness pass;
+//   - Conv2d layers: kBlocked and kPacked lower them to gather + blocked
+//     GEMM through ragged im2col index tables precomputed here (the
+//     gathered column is an arena slot assigned by the liveness pass);
+//     kWide runs a direct convolution over the CHW input in place
+//     (tensor::kernels::conv2d_direct_*), no gather. The im2col tables
+//     and the IR scratch slot are still built in every plan, wide ones
+//     included, because dl/lower.cpp and verify/range.cpp re-derive them
+//     as part of the verified IR;
+//   - MaxPool2d layers run a planned pooling step (kernels::maxpool2d)
+//     in every planned mode;
 //   - a Dense/Conv2d whose output has exactly one live consumer, an
 //     activation, absorbs it as a fused kernel epilogue (the fusion pass
 //     decides this from dataflow facts, honoring a pinned tap layer);
 //   - Flatten layers and idempotent relu-after-relu chains are bit
 //     identities and are eliminated outright by the dce pass;
-//   - every other layer becomes a kReference step and executes its
-//     unmodified Layer::forward.
+//   - every other layer (avgpool, softmax, batchnorm, an unfused
+//     activation) becomes a kReference step and executes its unmodified
+//     Layer::forward.
 //
 // Every step carries its arena addresses (element offsets into one shared
 // base block sized by ArenaLayout::total_elems), so engine demand shrinks
@@ -39,7 +47,8 @@
 // kPacked snapshots Dense weights into row-blocked panels and full
 // kConvLanes-channel groups of Conv2d weights into tap-major lane panels
 // for unit-stride access; kWide does the same at its wider geometry
-// (kWideRowBlock rows, kWideConvLanes channels). Whoever mutates weights
+// (kWideRowBlock rows, kWideConvLanes channels — the direct conv kernels
+// read a full group's weights from the panel). Whoever mutates weights
 // in place behind a panelled plan must call repack() before the next run:
 // the safety channels do so inside inject_fault/undo_fault and expose
 // InferenceChannel::repack(i) for direct replica edits, so campaigns and
@@ -113,7 +122,7 @@ const char* kernel_mode_name(KernelMode mode) noexcept;
 /// the engine's single arena base block (ir::kNone = no slot; an in_offset
 /// of ir::kNone means the caller's input buffer).
 struct KernelStep {
-  enum class Kind : std::uint8_t { kReference, kDense, kConv2d };
+  enum class Kind : std::uint8_t { kReference, kDense, kConv2d, kMaxPool };
 
   Kind kind = Kind::kReference;
   std::size_t first_layer = 0;  ///< model layer index this step starts at
@@ -146,14 +155,21 @@ struct KernelStep {
   /// ISA), so the engine hot path is a branch-free indirect call.
   /// dense_arg is whatever the dense kernel walks: the live weights
   /// (kBlocked) or the panel (kPacked/kWide). Conv kernels always receive
-  /// both the panel and the live weights (tail channels read live).
+  /// both the panel and the live weights (tail channels read live). A
+  /// kWide conv step sets direct_fn (direct convolution over the input in
+  /// place); the kBlocked/kPacked ones set conv_fn (im2col gather + GEMM).
   tensor::kernels::DenseKernelFn dense_fn = nullptr;
   const float* dense_arg = nullptr;
   tensor::kernels::ConvKernelFn conv_fn = nullptr;
+  tensor::kernels::DirectConvKernelFn direct_fn = nullptr;
 
   // kConv2d
+  tensor::kernels::Conv2dGeom geom{};  ///< static geometry (direct kernels)
   tensor::kernels::ConvTables conv{};  ///< tables owned by the plan
   std::size_t scratch = 0;  ///< im2col column floats this step gathers
+
+  // kMaxPool
+  tensor::kernels::PoolGeom pool{};
 };
 
 /// Deploy-time execution plan for one model. Immutable after construction
@@ -209,6 +225,7 @@ class KernelPlan {
 
   std::size_t planned_dense() const noexcept { return planned_dense_; }
   std::size_t planned_conv() const noexcept { return planned_conv_; }
+  std::size_t planned_pool() const noexcept { return planned_pool_; }
   std::size_t fused_activations() const noexcept { return fused_; }
   std::size_t reference_steps() const noexcept { return reference_; }
   /// Layers eliminated by the dce pass (bit identities).
@@ -227,7 +244,12 @@ class KernelPlan {
     return isa_sel_;
   }
 
-  /// One-line evidence summary for core/report.
+  /// How this plan lowers its layers, for the evidence records:
+  /// "conv=direct" (kWide) or "conv=im2col" (kBlocked/kPacked), then
+  /// "pool=<planned MaxPool2d steps>".
+  std::string lowering() const;
+
+  /// One-line evidence summary for core/report (includes lowering()).
   std::string summary() const;
 
  private:
@@ -250,6 +272,7 @@ class KernelPlan {
   std::size_t table_entries_ = 0;
   std::size_t planned_dense_ = 0;
   std::size_t planned_conv_ = 0;
+  std::size_t planned_pool_ = 0;
   std::size_t fused_ = 0;
   std::size_t reference_ = 0;
   std::size_t removed_ = 0;

@@ -177,12 +177,27 @@ QuantKernelPlan::QuantKernelPlan(const QuantizedModel& model, KernelMode mode)
           pb += pbl;
         }
       }
-      // A conv too narrow for its lane panel runs the live-weight kernel.
-      s.conv_fn = s.panel == nullptr ? &qk::qconv2d_im2col_live
-                  : mode_ == KernelMode::kPacked
-                      ? &qk::qconv2d_im2col_packed
-                      : qk::wide_qconv_kernel(isa_sel_.isa);
+      s.geom = g;
+      if (mode_ == KernelMode::kWide) {
+        // Direct convolution over the input in place, every geometry; a
+        // conv too narrow for a panel group reads the live weights.
+        s.direct_fn = qk::wide_qconv_kernel(isa_sel_.isa);
+      } else {
+        // im2col: a conv too narrow for its lane panel runs the
+        // live-weight kernel.
+        s.conv_fn = s.panel == nullptr ? &qk::qconv2d_im2col_live
+                                       : &qk::qconv2d_im2col_packed;
+      }
       ++planned_conv_;
+    } else if (op.kind == ir::OpKind::kMaxPool2d) {
+      const Shape& in = i == 0 ? model.input_shape()
+                               : model.activation_shape(i - 1);
+      s.kind = QuantKernelStep::Kind::kMaxPool;
+      s.pool = k::PoolGeom{.c = in.dim(0),
+                           .in_h = in.dim(1),
+                           .in_w = in.dim(2),
+                           .window = v.window};
+      ++planned_pool_;
     } else {
       s.kind = QuantKernelStep::Kind::kReference;
       ++reference_;
@@ -214,13 +229,20 @@ void QuantKernelPlan::repack() noexcept {
   }
 }
 
+std::string QuantKernelPlan::lowering() const {
+  return std::string("conv=") +
+         (mode_ == KernelMode::kWide ? "direct" : "im2col") +
+         " pool=" + std::to_string(planned_pool_);
+}
+
 std::string QuantKernelPlan::summary() const {
   std::ostringstream os;
   os << "mode=" << kernel_mode_name(mode_) << " steps=" << step_count_ << "/"
      << model_->layer_count() << " layers (dense=" << planned_dense_
      << " conv=" << planned_conv_ << " fused-relu=" << fused_
-     << " removed=" << removed_ << " reference=" << reference_
-     << "), arena=" << layout_.total_elems << "/" << layout_.naive_elems
+     << " removed=" << removed_
+     << " reference=" << reference_ << "), lowering " << lowering()
+     << ", arena=" << layout_.total_elems << "/" << layout_.naive_elems
      << " bytes, im2col entries=" << table_entries_
      << ", scratch=" << scratch_bytes_ << " bytes, panels=" << panel_bytes_
      << " bytes";
@@ -366,11 +388,19 @@ Status QuantEngine::run_planned(std::span<float> output) noexcept {
         s.dense_fn(s.dense_arg, s.rows, s.cols, in, s.rq, dst, sat);
         break;
       case QuantKernelStep::Kind::kConv2d: {
+        if (s.direct_fn != nullptr) {
+          // kWide: direct convolution over the input in place, no gather.
+          s.direct_fn(s.panel, s.weights, s.geom, in, s.rq, dst, sat);
+          break;
+        }
         std::int8_t* scratch = base + s.scratch_offset;
         qk::im2col_gather_i8(in, s.conv.in_idx, s.scratch, scratch);
         s.conv_fn(s.panel, s.weights, s.conv, scratch, s.rq, dst, sat);
         break;
       }
+      case QuantKernelStep::Kind::kMaxPool:
+        qk::qmaxpool2d(s.pool, in, dst);
+        break;
       case QuantKernelStep::Kind::kReference: {
         const Status st = model_->apply_layer(
             s.first_layer, {in, s.in_elems}, {dst, s.out_elems}, sat);

@@ -13,17 +13,22 @@
 //     tensor/qkernels.hpp; in kPacked mode their weights are additionally
 //     snapshotted into cache-line-aligned row-blocked panels owned by the
 //     plan;
-//   - Conv2d layers are lowered to int8 gather + blocked GEMM through the
-//     same ragged im2col index tables the float plan uses (the tables are
-//     element-type-agnostic); the gathered int8 column is a byte-arena
-//     slot assigned by the liveness pass;
+//   - Conv2d layers: kBlocked and kPacked lower them to int8 gather +
+//     blocked GEMM through the same ragged im2col index tables the float
+//     plan uses (the tables are element-type-agnostic; the gathered int8
+//     column is a byte-arena slot assigned by the liveness pass); kWide
+//     runs a direct convolution over the CHW input in place
+//     (tensor::qkernels::qconv2d_direct_*), no gather. As in the float
+//     plan, the tables and the IR scratch slot stay in every plan because
+//     dl/lower.cpp and verify/range.cpp re-derive them;
 //   - a Dense/Conv2d whose output's single live consumer is the int8 ReLU
 //     absorbs it: the requantize epilogue applies `q > 0 ? q : 0` on the
 //     just-quantized value, exactly what the separate reference layer
 //     computes;
 //   - Flatten (a verbatim byte copy in the reference) is eliminated by
-//     dce; pooling layers become kReference steps executed through
-//     QuantizedModel::apply_layer.
+//     dce; MaxPool2d runs a planned pooling step (qkernels::qmaxpool2d)
+//     in every planned mode; AvgPool2d becomes a kReference step executed
+//     through QuantizedModel::apply_layer.
 //
 // All planned kernels preserve the reference per-output int32 accumulation
 // order and finish with the reference requantization expression, so a
@@ -65,7 +70,7 @@ namespace sx::dl {
 /// plan's own tables/panels) and stay valid for the model's lifetime.
 /// Offsets are byte indices into the engine's arena base block.
 struct QuantKernelStep {
-  enum class Kind : std::uint8_t { kReference, kDense, kConv2d };
+  enum class Kind : std::uint8_t { kReference, kDense, kConv2d, kMaxPool };
 
   Kind kind = Kind::kReference;
   std::size_t first_layer = 0;  ///< model layer index this step starts at
@@ -87,14 +92,21 @@ struct QuantKernelStep {
   /// Kernel entry points resolved once at plan construction (mode + probed
   /// ISA) — the engine hot path is a branch-free indirect call. dense_arg
   /// is the live weights (kBlocked) or the panel (kPacked/kWide); conv
-  /// kernels always receive both (tail channels read live).
+  /// kernels always receive both (tail channels read live). A kWide conv
+  /// step sets direct_fn (direct convolution over the input in place),
+  /// the kBlocked/kPacked ones conv_fn (im2col gather + GEMM).
   tensor::qkernels::QDenseKernelFn dense_fn = nullptr;
   const std::int8_t* dense_arg = nullptr;
   tensor::qkernels::QConvKernelFn conv_fn = nullptr;
+  tensor::qkernels::QDirectConvKernelFn direct_fn = nullptr;
 
   // kConv2d
+  tensor::kernels::Conv2dGeom geom{};  ///< static geometry (direct kernels)
   tensor::kernels::ConvTables conv{};  ///< tables owned by the plan
   std::size_t scratch = 0;  ///< im2col column bytes this step gathers
+
+  // kMaxPool
+  tensor::kernels::PoolGeom pool{};
 };
 
 /// Deploy-time execution plan for one quantized model. Immutable after
@@ -141,6 +153,7 @@ class QuantKernelPlan {
 
   std::size_t planned_dense() const noexcept { return planned_dense_; }
   std::size_t planned_conv() const noexcept { return planned_conv_; }
+  std::size_t planned_pool() const noexcept { return planned_pool_; }
   std::size_t fused_relus() const noexcept { return fused_; }
   std::size_t reference_steps() const noexcept { return reference_; }
   /// Layers eliminated by the dce pass (bit identities).
@@ -157,7 +170,11 @@ class QuantKernelPlan {
     return isa_sel_;
   }
 
-  /// One-line evidence summary for core/report.
+  /// How this plan lowers its layers ("conv=direct|im2col pool=<n>"),
+  /// mirroring KernelPlan::lowering().
+  std::string lowering() const;
+
+  /// One-line evidence summary for core/report (includes lowering()).
   std::string summary() const;
 
  private:
@@ -178,6 +195,7 @@ class QuantKernelPlan {
   std::size_t table_entries_ = 0;
   std::size_t planned_dense_ = 0;
   std::size_t planned_conv_ = 0;
+  std::size_t planned_pool_ = 0;
   std::size_t fused_ = 0;
   std::size_t reference_ = 0;
   std::size_t removed_ = 0;

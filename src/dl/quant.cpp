@@ -3,7 +3,12 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "dl/layers.hpp"
+#include "platform/cpu_probe.hpp"
+#include "tensor/kernels.hpp"
 #include "tensor/qkernels.hpp"
 
 namespace sx::dl {
@@ -28,6 +33,76 @@ void quantize_block(std::span<const float> src, float scale,
   for (std::size_t i = 0; i < src.size(); ++i)
     dst[i] = quantize_value(src[i], scale);
 }
+
+/// The calibration forward pass: every layer's float output, bitwise
+/// Model::forward_trace's. Conv2d layers run the probed lane family's
+/// direct kernel over wide panels packed here once (bitwise equal to
+/// Conv2d::forward, tensor_kernels_wide_test); every other layer runs its
+/// reference forward. The reference conv loop over a few hundred
+/// calibration frames was nearly all of an int8 deployment's setup time.
+class CalibrationTrace {
+ public:
+  explicit CalibrationTrace(const Model& model)
+      : model_(model),
+        conv_(tensor::kernels::wide_conv_kernel(
+            platform::select_wide_isa().isa)),
+        panels_(model.layer_count()),
+        ping_(model.max_activation_size()),
+        pong_(model.max_activation_size()) {
+    namespace k = tensor::kernels;
+    for (std::size_t i = 0; i < model.layer_count(); ++i) {
+      if (model.layer(i).kind() != LayerKind::kConv2d) continue;
+      const auto& c = static_cast<const Conv2d&>(model.layer(i));
+      const std::size_t patch = c.in_channels() * c.kernel() * c.kernel();
+      panels_[i].resize(  // sxlint: allow(hot-path-alloc) quantize-time
+          k::wide_conv_panel_floats(c.out_channels(), patch));
+      k::pack_wide_conv_panel(c.weights().data(), c.out_channels(), patch,
+                              panels_[i].data());
+    }
+  }
+
+  /// Runs `input` through every layer, calling visit(i, output of layer i).
+  template <typename Visit>
+  void run(const tensor::Tensor& input, Visit&& visit) {
+    if (input.shape() != model_.input_shape())
+      throw std::invalid_argument("quantize: bad calibration input shape");
+    tensor::ConstTensorView cur = input.view();
+    bool use_ping = true;
+    for (std::size_t i = 0; i < model_.layer_count(); ++i) {
+      const Layer& layer = model_.layer(i);
+      const Shape& out_shape = model_.activation_shape(i);
+      std::vector<float>& dst = use_ping ? ping_ : pong_;
+      tensor::TensorView out{std::span<float>(dst).first(out_shape.size()),
+                             out_shape};
+      Status st = Status::kOk;
+      if (layer.kind() == LayerKind::kConv2d) {
+        const auto& c = static_cast<const Conv2d&>(layer);
+        const tensor::kernels::Conv2dGeom g{
+            .in_c = c.in_channels(), .in_h = cur.shape.dim(1),
+            .in_w = cur.shape.dim(2), .out_c = c.out_channels(),
+            .k = c.kernel(), .stride = c.stride(), .pad = c.padding()};
+        (void)conv_(panels_[i].empty() ? nullptr : panels_[i].data(),
+                    c.weights().data(), c.bias().data(), g, cur.data.data(),
+                    out.data.data(), tensor::kernels::Epilogue::kNone,
+                    false);
+      } else {
+        st = layer.forward(cur, out);
+      }
+      if (!ok(st))
+        throw std::runtime_error("quantize: layer failed: " +
+                                 std::string(to_string(st)));
+      visit(i, std::span<const float>(out.data));
+      cur = out;
+      use_ping = !use_ping;
+    }
+  }
+
+ private:
+  const Model& model_;
+  tensor::kernels::DirectConvKernelFn conv_;
+  std::vector<std::vector<float>> panels_;
+  std::vector<float> ping_, pong_;
+};
 
 }  // namespace
 
@@ -122,11 +197,12 @@ QuantizedModel QuantizedModel::quantize(const Model& model,
   // --- Calibrate activation scales from the float model. -----------------
   float input_amax = 0.0f;
   std::vector<float> act_amax(model.layer_count(), 0.0f);
+  CalibrationTrace trace{model};
   for (const auto& s : calibration.samples) {
     input_amax = std::max(input_amax, absmax(s.input.data()));
-    const auto acts = model.forward_trace(s.input);
-    for (std::size_t i = 0; i < model.layer_count(); ++i)
-      act_amax[i] = std::max(act_amax[i], absmax(acts[i + 1].data()));
+    trace.run(s.input, [&](std::size_t i, std::span<const float> out) {
+      act_amax[i] = std::max(act_amax[i], absmax(out));
+    });
   }
 
   QuantizedModel qm;

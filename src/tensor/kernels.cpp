@@ -1,5 +1,7 @@
 #include "tensor/kernels.hpp"
 
+#include <limits>
+
 #include "tensor/kernels_detail.hpp"
 
 namespace sx::tensor::kernels {
@@ -317,6 +319,25 @@ bool conv2d_im2col_packed(const float* panel, const float* wt,
   // scalar sweeps, exactly like the unpacked path.
   const std::size_t oc = groups * kConvLanes;
   return detail::conv_tail_sweep(wt, bias, t, col, out, oc, ep, check, ok);
+}
+
+void maxpool2d(const PoolGeom& g, const float* in, float* out) noexcept {
+  const std::size_t oh = g.out_h(), ow = g.out_w(), w = g.window;
+  for (std::size_t ch = 0; ch < g.c; ++ch) {
+    const float* plane = in + ch * g.in_h * g.in_w;
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        const float* win = plane + oy * w * g.in_w + ox * w;
+        float m = -std::numeric_limits<float>::infinity();
+        for (std::size_t dy = 0; dy < w; ++dy)
+          for (std::size_t dx = 0; dx < w; ++dx) {
+            const float v = win[dy * g.in_w + dx];
+            m = v > m ? v : m;
+          }
+        *out++ = m;
+      }
+    }
+  }
 }
 
 }  // namespace sx::tensor::kernels

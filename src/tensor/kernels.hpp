@@ -1,5 +1,7 @@
-// Deploy-time-planned numeric kernels: register-blocked matvec/GEMM and a
-// ragged-im2col Conv2d lowering with fused bias+activation epilogues.
+// Deploy-time-planned numeric kernels: register-blocked matvec/GEMM, two
+// Conv2d lowerings with fused bias+activation epilogues — a ragged im2col
+// gather + GEMM (kBlocked, kPacked) and a gather-free direct convolution
+// (kWide) — and a planned MaxPool2d.
 //
 // Every kernel here preserves the *per-output accumulation order* of the
 // reference loops in tensor/ops.cpp and dl/layers.cpp: each output element
@@ -12,12 +14,16 @@
 //     break the single serial FMA/add dependency chain of the reference
 //     loop (ILP), and the input vector is streamed once per block instead
 //     of once per row;
-//   - deploy-time im2col index tables: all Conv2d bounds checks and index
-//     arithmetic move to configuration time; the hot path is one flat
-//     gather plus a dense blocked GEMM.  The tables are *ragged*
-//     (padding taps are omitted, exactly as the reference loop skips
-//     them) rather than zero-filled, so even non-finite weights multiply
-//     precisely the operands the reference path multiplies;
+//   - deploy-time im2col index tables (kBlocked, kPacked): all Conv2d
+//     bounds checks and index arithmetic move to configuration time; the
+//     hot path is one flat gather plus a dense blocked GEMM.  The tables
+//     are *ragged* (padding taps are omitted, exactly as the reference
+//     loop skips them) rather than zero-filled, so even non-finite weights
+//     multiply precisely the operands the reference path multiplies;
+//   - direct convolution (kWide): output pixels of one row in the SIMD
+//     lanes, reading the CHW input rows in place — no gather at all.
+//     Clipped padding taps are masked out of the add per lane, so the
+//     same "multiply exactly the reference operands" rule holds;
 //   - fused epilogues: bias (already fused in the reference Dense/Conv2d)
 //     plus an optional ReLU/Sigmoid/Tanh applied in the GEMM tail, saving
 //     one full tensor traversal per fused layer.  The epilogue expression
@@ -205,10 +211,10 @@ const char* wide_isa_name(WideIsa isa) noexcept;
 /// executed as 2 x 8 lanes on AVX2 and 16 scalar chains by the twin.
 inline constexpr std::size_t kWideRowBlock = 16;
 
-/// Output channels (Conv2d GEMM) per wide lane group. Eight matches the
-/// deployed perception CNNs' channel counts, so their convs hit the
-/// full-group path; the AVX-512-class variant keeps 16 channels in flight
-/// by pairing adjacent groups.
+/// Output channels per wide conv panel group — and per register block of
+/// the direct conv kernels, which keep one named accumulator per channel.
+/// Eight matches the deployed perception CNNs' channel counts, so their
+/// convs read every weight from the panel.
 inline constexpr std::size_t kWideConvLanes = 8;
 
 /// Floats needed for the wide row-blocked panel of a rows x cols Dense
@@ -249,21 +255,49 @@ std::size_t wide_conv_panel_floats(std::size_t out_c,
 void pack_wide_conv_panel(const float* wt, std::size_t out_c,
                           std::size_t patch, float* panel) noexcept;
 
-/// conv2d_im2col over a wide lane panel (same tail-channel live-weight
-/// contract as conv2d_im2col_packed). The avx512 variant pairs adjacent
-/// groups to keep 16 output channels in flight per tap.
-bool conv2d_im2col_wide_scalar(const float* panel, const float* wt,
-                               const float* bias, const ConvTables& t,
-                               const float* col, float* out, Epilogue ep,
-                               bool check) noexcept;
-bool conv2d_im2col_wide_avx2(const float* panel, const float* wt,
-                             const float* bias, const ConvTables& t,
-                             const float* col, float* out, Epilogue ep,
-                             bool check) noexcept;
-bool conv2d_im2col_wide_avx512(const float* panel, const float* wt,
-                               const float* bias, const ConvTables& t,
-                               const float* col, float* out, Epilogue ep,
-                               bool check) noexcept;
+/// Direct Conv2d over the CHW input, read in place (no im2col gather) —
+/// the kWide conv lowering, for every stride and padding. The SIMD lanes
+/// hold consecutive output pixels of one output row (16 on avx512, 8 on
+/// avx2; the scalar twin runs one chain per pixel), and up to 8 output
+/// channels are register-blocked as named accumulators sharing each
+/// input load. Every output is still one serial chain: bias first, then
+/// (ic, valid ky, valid kx) in reference order, exactly Conv2d::forward's
+/// tree. Rows outside the input are skipped; padding-clipped columns are
+/// excluded lane by lane with a masked add (an AVX-512 mask, an AVX2
+/// blend) — never multiplied by a zero pad, since 0 * Inf is NaN and
+/// -0 + +0 is +0 — and the masked loads never touch memory outside the
+/// input. Full kWideConvLanes-channel groups read their weights from the
+/// wide conv panel, the out_c % kWideConvLanes tail channels the live
+/// weights `wt`; `panel` may be null when out_c < kWideConvLanes. Same
+/// check/epilogue contract as matvec_blocked.
+bool conv2d_direct_scalar(const float* panel, const float* wt,
+                          const float* bias, const Conv2dGeom& g,
+                          const float* in, float* out, Epilogue ep,
+                          bool check) noexcept;
+bool conv2d_direct_avx2(const float* panel, const float* wt,
+                        const float* bias, const Conv2dGeom& g,
+                        const float* in, float* out, Epilogue ep,
+                        bool check) noexcept;
+bool conv2d_direct_avx512(const float* panel, const float* wt,
+                          const float* bias, const Conv2dGeom& g,
+                          const float* in, float* out, Epilogue ep,
+                          bool check) noexcept;
+
+// ------------------------------------------------------------ MaxPool2d
+
+/// Static MaxPool2d geometry (CHW, square window == stride, no padding;
+/// in_h and in_w are multiples of the window).
+struct PoolGeom {
+  std::size_t c = 0, in_h = 0, in_w = 0, window = 1;
+
+  std::size_t out_h() const noexcept { return in_h / window; }
+  std::size_t out_w() const noexcept { return in_w / window; }
+};
+
+/// Planned max pooling over raw CHW pointers. Each window starts at -inf
+/// and folds `v > m ? v : m` over (dy, dx) in MaxPool2d::forward's order,
+/// so NaN and signed zeros come out bitwise as in the reference.
+void maxpool2d(const PoolGeom& g, const float* in, float* out) noexcept;
 
 // ------------------------------------------- hot-path dispatch pointers
 
@@ -276,8 +310,8 @@ using DenseKernelFn = bool (*)(const float* w_or_panel, const float* bias,
                                const float* x, float* out, Epilogue ep,
                                bool check) noexcept;
 
-/// Uniform Conv2d kernel shape (panel variants use `panel`, the live
-/// adapter ignores it).
+/// Uniform im2col Conv2d kernel shape of the kBlocked/kPacked plans
+/// (panel variants use `panel`, the live adapter ignores it).
 using ConvKernelFn = bool (*)(const float* panel, const float* wt,
                               const float* bias, const ConvTables& t,
                               const float* col, float* out, Epilogue ep,
@@ -290,9 +324,15 @@ bool conv2d_im2col_live(const float* panel, const float* wt,
                         const float* col, float* out, Epilogue ep,
                         bool check) noexcept;
 
-/// The wide Dense / Conv2d microkernel for one lane family — resolved
-/// once at plan construction, never on the hot path.
+/// Uniform direct Conv2d kernel shape: the conv2d_direct_* family.
+using DirectConvKernelFn = bool (*)(const float* panel, const float* wt,
+                                    const float* bias, const Conv2dGeom& g,
+                                    const float* in, float* out, Epilogue ep,
+                                    bool check) noexcept;
+
+/// The wide Dense / direct Conv2d microkernel for one lane family —
+/// resolved once at plan construction, never on the hot path.
 DenseKernelFn wide_dense_kernel(WideIsa isa) noexcept;
-ConvKernelFn wide_conv_kernel(WideIsa isa) noexcept;
+DirectConvKernelFn wide_conv_kernel(WideIsa isa) noexcept;
 
 }  // namespace sx::tensor::kernels

@@ -1,10 +1,12 @@
-// Internal helpers shared by the float kernel translation units
-// (kernels.cpp and kernels_wide.cpp). Everything here preserves the
+// Internal helpers shared by the kernel translation units (kernels.cpp,
+// kernels_wide.cpp, and qkernels_wide.cpp for the direct-conv lane
+// ranges). Everything here preserves the
 // reference per-output accumulation order — see the header comment of
 // tensor/kernels.hpp for the contract. Not part of the public API.
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 
 #include "tensor/kernels.hpp"
 
@@ -26,8 +28,8 @@ inline bool finish(float acc, float* out, Epilogue ep, bool check,
 /// Interior pixels (full patch, w_ofs is the identity) take the
 /// contiguous-weight fast path; clipped border pixels indirect through
 /// w_ofs. Both walk the taps in table order == reference order. Used for
-/// the live-weight conv kernel and for the tail channels of every packed
-/// lane-panel variant (4-lane and wide alike).
+/// the live-weight conv kernel and for the tail channels of the packed
+/// lane-panel variant.
 template <std::size_t kOc>
 inline bool conv_oc_sweep(const float* wt, const float* bias,
                           const ConvTables& t, const float* col, float* out,
@@ -70,6 +72,57 @@ inline bool conv_oc_sweep(const float* wt, const float* bias,
       ok = finish(acc[i], o[i] + p, ep, check, ok);
   }
   return ok;
+}
+
+/// Lane bits of one direct-conv tap column: bit l is set iff output
+/// lane l of the chunk of n (<= 16) pixels starting at column ox0 reads
+/// an input column (ox0 + l) * stride + kx - pad inside [0, in_w) —
+/// exactly the lanes whose tap the reference loop visits.
+inline std::uint32_t lane_bits(const Conv2dGeom& g, std::size_t ox0,
+                               std::size_t n, std::size_t kx) noexcept {
+  const std::size_t first = ox0 * g.stride + kx;  // input column + pad
+  const std::size_t lim = g.in_w + g.pad;         // exclusive, + pad
+  std::size_t lo = 0, hi = 0;
+  if (g.stride == 1) {
+    lo = first < g.pad ? g.pad - first : 0;
+    hi = first < lim ? lim - first : 0;
+  } else {
+    if (first < g.pad) lo = (g.pad - first + g.stride - 1) / g.stride;
+    if (first < lim) hi = (lim - first + g.stride - 1) / g.stride;
+  }
+  hi = hi < n ? hi : n;
+  lo = lo < hi ? lo : hi;
+  return ((1u << hi) - 1u) & ~((1u << lo) - 1u);
+}
+
+/// The lane bits of one chunk, computed once per chunk for the first
+/// kCachedK kernel columns (every realistic kernel) instead of once per
+/// (ic, ky, kx) tap; wider kernels recompute the rest on the fly.
+struct LaneCache {
+  static constexpr std::size_t kCachedK = 16;
+  std::uint32_t bits[kCachedK];
+
+  void fill(const Conv2dGeom& g, std::size_t ox0, std::size_t n) noexcept {
+    const std::size_t kc = g.k < kCachedK ? g.k : kCachedK;
+    for (std::size_t kx = 0; kx < kc; ++kx)
+      bits[kx] = lane_bits(g, ox0, n, kx);
+  }
+  std::uint32_t at(const Conv2dGeom& g, std::size_t ox0, std::size_t n,
+                   std::size_t kx) const noexcept {
+    return kx < kCachedK ? bits[kx] : lane_bits(g, ox0, n, kx);
+  }
+};
+
+/// Bounded lane load: the inputs of the lanes in `bits` for tap column kx
+/// copied into a lane buffer, every other lane 0. Used for strided convs
+/// and wherever a full-width load would leave the input buffer.
+template <std::size_t kLanes, typename T>
+inline void fill_lanes(const T* row, std::size_t ox0, const Conv2dGeom& g,
+                       std::size_t kx, std::uint32_t bits, T* buf) noexcept {
+  for (std::size_t l = 0; l < kLanes; ++l)
+    buf[l] = (bits >> l & 1u) != 0
+                 ? row[(ox0 + l) * g.stride + kx - g.pad]
+                 : T{0};
 }
 
 /// Dispatches the 1..7-channel conv tail through the templated sweep

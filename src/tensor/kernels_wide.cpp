@@ -1,17 +1,20 @@
-// kWide float microkernels: 8-lane (AVX2-class, GCC vector extensions
-// vector_size(32)) and 16-lane (AVX-512-class, vector_size(64)) panel
-// kernels plus their portable scalar twin.
+// kWide float microkernels: 8-lane (AVX2-class) and 16-lane
+// (AVX-512-class) Dense panel kernels and direct Conv2d kernels, plus
+// their portable scalar twins.
 //
 // Determinism contract (the whole point of this file): each lane family
 // computes the *identical* fixed accumulation tree. One output element is
 // always one serial chain — bias, then every column/tap in strict
 // ascending reference order — and the SIMD only runs independent chains
-// side by side (broadcast multiplicand, one lane per output, no
-// horizontal reductions). The scalar twin walks the same panel with the
-// same chains, so scalar/avx2/avx512 outputs are bitwise identical across
-// machines, and all of them are bitwise identical to the kReference/
-// kBlocked/kPacked paths (tensor_kernels_wide_test proves both claims
-// differentially).
+// side by side (one lane per output, no horizontal reductions). The Dense
+// kernels put output rows in the lanes and broadcast the input; the
+// direct convs put consecutive output pixels of one row in the lanes,
+// broadcast each weight, and load the input row in place, masking the
+// padding-clipped taps out of the add lane by lane. The scalar twins walk
+// the same chains, so scalar/avx2/avx512 outputs are bitwise identical
+// across machines, and all of them are bitwise identical to the
+// kReference/kBlocked/kPacked paths (tensor_kernels_wide_test proves both
+// claims differentially).
 //
 // This translation unit is compiled with -ffp-contract=off (see
 // src/tensor/CMakeLists.txt): the target("avx512f")/target("avx2")
@@ -19,8 +22,17 @@
 // once instead of twice — which would silently fork the avx2/avx512
 // results from the scalar twin. Keeping contraction off pins all three
 // to the twin's two-rounding chain.
+#include <cstdint>
+
 #include "tensor/kernels.hpp"
 #include "tensor/kernels_detail.hpp"
+
+#if defined(__x86_64__) || defined(__i386__)
+#define SX_WIDE_X86 1
+#include <immintrin.h>
+#else
+#define SX_WIDE_X86 0
+#endif
 
 namespace sx::tensor::kernels {
 
@@ -30,12 +42,6 @@ using detail::finish;
 
 typedef float v8sf __attribute__((vector_size(32)));
 typedef float v16sf __attribute__((vector_size(64)));
-
-#if defined(__x86_64__) || defined(__i386__)
-#define SX_WIDE_X86 1
-#else
-#define SX_WIDE_X86 0
-#endif
 
 /// Scalar core of the wide Dense kernel — the canonical accumulation tree
 /// every SIMD variant must reproduce. Also used by every variant for the
@@ -313,191 +319,378 @@ void pack_wide_conv_panel(const float* wt, std::size_t out_c,
 
 namespace {
 
-/// Scalar core of one wide conv lane group — the canonical tree the SIMD
-/// group sweeps reproduce.
-inline bool wide_conv_group_scalar(const float* gp, const float* bias,
-                                   const ConvTables& t, const float* col,
-                                   float* out, std::size_t oc0, Epilogue ep,
-                                   bool check, bool ok) noexcept {
-  float* o[kWideConvLanes];
-  for (std::size_t i = 0; i < kWideConvLanes; ++i)
-    o[i] = out + (oc0 + i) * t.opix;
-  for (std::size_t p = 0; p < t.opix; ++p) {
-    const std::size_t base = t.pix_off[p];
-    const std::size_t taps = t.pix_off[p + 1] - base;
-    float acc[kWideConvLanes];
-    for (std::size_t i = 0; i < kWideConvLanes; ++i)
-      acc[i] = bias[oc0 + i];
-    const float* c = col + base;
-    if (taps == t.patch) {
-      const float* lane = gp;
-      for (std::size_t j = 0; j < taps; ++j, lane += kWideConvLanes) {
-        const float v = c[j];
-        for (std::size_t i = 0; i < kWideConvLanes; ++i)
-          acc[i] += lane[i] * v;
-      }
-    } else {
-      const std::uint32_t* wo = t.w_ofs + base;
-      for (std::size_t j = 0; j < taps; ++j) {
-        const float v = c[j];
-        const float* lane = gp + wo[j] * kWideConvLanes;
-        for (std::size_t i = 0; i < kWideConvLanes; ++i)
-          acc[i] += lane[i] * v;
-      }
-    }
-    for (std::size_t i = 0; i < kWideConvLanes; ++i)
-      ok = finish(acc[i], o[i] + p, ep, check, ok);
-  }
-  return ok;
-}
+/// Where one block of output channels finds its weights: channel c's tap
+/// j (j = ic * k * k + ky * k + kx, the reference order) sits at
+/// base[j * tap + c * ch]. A wide panel group has tap == kWideConvLanes,
+/// ch == 1; live tail channels have tap == 1, ch == patch.
+struct WeightBlock {
+  const float* base;
+  std::size_t tap;
+  std::size_t ch;
+};
 
 }  // namespace
 
-bool conv2d_im2col_wide_scalar(const float* panel, const float* wt,
-                               const float* bias, const ConvTables& t,
-                               const float* col, float* out, Epilogue ep,
-                               bool check) noexcept {
+bool conv2d_direct_scalar(const float* panel, const float* wt,
+                          const float* bias, const Conv2dGeom& g,
+                          const float* in, float* out, Epilogue ep,
+                          bool check) noexcept {
   bool ok = true;
-  const std::size_t gstride = align_up(t.patch * kWideConvLanes);
-  const std::size_t groups = t.out_c / kWideConvLanes;
-  for (std::size_t g = 0; g < groups; ++g)
-    ok = wide_conv_group_scalar(panel + g * gstride, bias, t, col, out,
-                                g * kWideConvLanes, ep, check, ok);
-  return detail::conv_tail_sweep(wt, bias, t, col, out,
-                                 groups * kWideConvLanes, ep, check, ok);
+  const std::size_t oh = g.out_h(), ow = g.out_w(), opix = oh * ow;
+  const std::size_t patch = g.patch(), kk = g.k * g.k;
+  const std::size_t full = g.out_c / kWideConvLanes * kWideConvLanes;
+  const std::size_t gstride = align_up(patch * kWideConvLanes);
+  for (std::size_t oc = 0; oc < g.out_c; ++oc) {
+    const WeightBlock w =
+        oc < full ? WeightBlock{panel + oc / kWideConvLanes * gstride +
+                                    oc % kWideConvLanes,
+                                kWideConvLanes, 1}
+                  : WeightBlock{wt + oc * patch, 1, patch};
+    float* o = out + oc * opix;
+    // One serial chain per output pixel: bias, then the valid taps in
+    // (ic, ky, kx) order — the tree every SIMD arm reproduces per lane.
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        float acc = bias[oc];
+        for (std::size_t ic = 0; ic < g.in_c; ++ic) {
+          const float* ich = in + ic * g.in_h * g.in_w;
+          for (std::size_t ky = 0; ky < g.k; ++ky) {
+            const std::size_t iy = oy * g.stride + ky;
+            if (iy < g.pad || iy - g.pad >= g.in_h) continue;
+            const float* irow = ich + (iy - g.pad) * g.in_w;
+            const float* wrow = w.base + (ic * kk + ky * g.k) * w.tap;
+            for (std::size_t kx = 0; kx < g.k; ++kx) {
+              const std::size_t ix = ox * g.stride + kx;
+              if (ix < g.pad || ix - g.pad >= g.in_w) continue;
+              acc += wrow[kx * w.tap] * irow[ix - g.pad];
+            }
+          }
+        }
+        ok = finish(acc, o + oy * ow + ox, ep, check, ok);
+      }
+    }
+  }
+  return ok;
 }
 
 #if SX_WIDE_X86
 
 namespace {
 
-/// One 8-lane conv group on 256-bit vectors: every tap broadcasts the
-/// shared column value and folds into its own channel lane only.
-__attribute__((target("avx2")))
-inline bool wide_conv_group_avx2(const float* gp, const float* bias,
-                                 const ConvTables& t, const float* col,
-                                 float* out, std::size_t oc0, Epilogue ep,
-                                 bool check, bool ok) noexcept {
-  float* o[kWideConvLanes];
-  for (std::size_t i = 0; i < kWideConvLanes; ++i)
-    o[i] = out + (oc0 + i) * t.opix;
-  for (std::size_t p = 0; p < t.opix; ++p) {
-    const std::size_t base = t.pix_off[p];
-    const std::size_t taps = t.pix_off[p + 1] - base;
-    v8sf acc = v8_load(bias + oc0);
-    const float* c = col + base;
-    if (taps == t.patch) {
-      const float* lane = gp;
-      for (std::size_t j = 0; j < taps; ++j, lane += kWideConvLanes)
-        acc += v8_load(lane) * (v8sf{} + c[j]);
-    } else {
-      const std::uint32_t* wo = t.w_ofs + base;
-      for (std::size_t j = 0; j < taps; ++j)
-        acc += v8_load(gp + wo[j] * kWideConvLanes) * (v8sf{} + c[j]);
-    }
-    float a[kWideConvLanes];
-    __builtin_memcpy(a, &acc, sizeof acc);
-    for (std::size_t i = 0; i < kWideConvLanes; ++i)
-      ok = finish(a[i], o[i] + p, ep, check, ok);
+/// `row + ix` for a possibly negative ix, formed in integer arithmetic:
+/// a masked load takes it as the address of lane 0 while touching only
+/// the unmasked lanes, all of which lie inside the row.
+inline const float* lane0_ptr(const float* row, std::size_t ox0,
+                              const Conv2dGeom& g, std::size_t kx) noexcept {
+  const std::ptrdiff_t ix0 = static_cast<std::ptrdiff_t>(ox0 + kx) -
+                             static_cast<std::ptrdiff_t>(g.pad);
+  return reinterpret_cast<const float*>(
+      reinterpret_cast<std::uintptr_t>(row) +
+      static_cast<std::uintptr_t>(ix0 * static_cast<std::ptrdiff_t>(
+                                            sizeof(float))));
+}
+
+// ---------------------------------------------------------- avx512 arm
+
+// Full-mask maskz forms stand in for the unmasked AVX-512 intrinsics
+// whose _mm512_undefined_* passthrough trips GCC's -Wmaybe-uninitialized;
+// they are the same instructions.
+constexpr __mmask16 kAll16 = 0xFFFF;
+
+/// acc += w * x on the lanes of m only; the other lanes keep acc
+/// bitwise (two roundings: this TU is built without contraction).
+__attribute__((target("avx512f"), always_inline)) inline void tap16(
+    __m512& acc, __mmask16 m, float w, __m512 x) noexcept {
+  acc = _mm512_mask_add_ps(acc, m, acc, _mm512_mul_ps(_mm512_set1_ps(w), x));
+}
+
+/// Stores lanes [0, n) of a finished chunk: the pre-activation screen
+/// (acc * 0 == 0 exactly when acc is finite), then the epilogue. ReLU is
+/// max(acc, 0), whose operand order gives `acc > 0 ? acc : 0` for NaN
+/// and -0 too; sigmoid/tanh run the scalar epilogue per lane.
+__attribute__((target("avx512f"))) inline bool store16(
+    __m512 acc, float* o, std::size_t n, Epilogue ep, bool check,
+    bool ok) noexcept {
+  const auto live = static_cast<__mmask16>((1u << n) - 1u);
+  const __m512 zero = _mm512_setzero_ps();
+  if (check &&
+      _mm512_mask_cmp_ps_mask(live, _mm512_mul_ps(acc, zero), zero,
+                              _CMP_EQ_OQ) != live)
+    ok = false;
+  if (ep == Epilogue::kNone) {
+    _mm512_mask_storeu_ps(o, live, acc);
+  } else if (ep == Epilogue::kRelu) {
+    _mm512_mask_storeu_ps(o, live, _mm512_maskz_max_ps(kAll16, acc, zero));
+  } else {
+    alignas(64) float t[16];
+    _mm512_store_ps(t, acc);
+    for (std::size_t l = 0; l < n; ++l) o[l] = apply_epilogue(t[l], ep);
   }
   return ok;
 }
 
-/// Two adjacent 8-lane groups per pixel sweep — 16 output channels in
-/// flight per tap (the AVX-512-class working set). The chains stay
-/// per-channel serial; pairing only adds ILP.
-__attribute__((target("avx512f")))
-inline bool wide_conv_group_pair_avx512(const float* gp0, const float* gp1,
-                                        const float* bias,
-                                        const ConvTables& t,
-                                        const float* col, float* out,
-                                        std::size_t oc0, Epilogue ep,
-                                        bool check, bool ok) noexcept {
-  float* o[2 * kWideConvLanes];
-  for (std::size_t i = 0; i < 2 * kWideConvLanes; ++i)
-    o[i] = out + (oc0 + i) * t.opix;
-  for (std::size_t p = 0; p < t.opix; ++p) {
-    const std::size_t base = t.pix_off[p];
-    const std::size_t taps = t.pix_off[p + 1] - base;
-    v8sf acc0 = v8_load(bias + oc0);
-    v8sf acc1 = v8_load(bias + oc0 + kWideConvLanes);
-    const float* c = col + base;
-    if (taps == t.patch) {
-      const float* lane0 = gp0;
-      const float* lane1 = gp1;
-      for (std::size_t j = 0; j < taps;
-           ++j, lane0 += kWideConvLanes, lane1 += kWideConvLanes) {
-        const v8sf v = v8sf{} + c[j];
-        acc0 += v8_load(lane0) * v;
-        acc1 += v8_load(lane1) * v;
+/// kOc output channels (1..8) over every output pixel, 16 pixels of one
+/// row per chunk, one named accumulator per channel. kPanel blocks read
+/// a wide panel group (tap-major, so the channel offsets are constants);
+/// the others read live weight rows w.ch floats apart.
+template <std::size_t kOc, bool kPanel>
+__attribute__((target("avx512f"))) bool direct_block_avx512(
+    WeightBlock w, const float* bias, const Conv2dGeom& g, const float* in,
+    float* out, Epilogue ep, bool check, bool ok) noexcept {
+  const std::size_t oh = g.out_h(), ow = g.out_w(), opix = oh * ow;
+  const std::size_t kk = g.k * g.k, plane = g.in_h * g.in_w;
+  const std::size_t tap = kPanel ? kWideConvLanes : 1;
+  const std::size_t ch = kPanel ? 1 : w.ch;
+  detail::LaneCache lanes;
+  for (std::size_t oy = 0; oy < oh; ++oy) {
+    for (std::size_t ox0 = 0; ox0 < ow; ox0 += 16) {
+      const std::size_t n = ow - ox0 < 16 ? ow - ox0 : 16;
+      lanes.fill(g, ox0, n);
+      __m512 a0, a1, a2, a3, a4, a5, a6, a7;
+      a0 = _mm512_set1_ps(bias[0]);
+      if constexpr (kOc > 1) a1 = _mm512_set1_ps(bias[1]);
+      if constexpr (kOc > 2) a2 = _mm512_set1_ps(bias[2]);
+      if constexpr (kOc > 3) a3 = _mm512_set1_ps(bias[3]);
+      if constexpr (kOc > 4) a4 = _mm512_set1_ps(bias[4]);
+      if constexpr (kOc > 5) a5 = _mm512_set1_ps(bias[5]);
+      if constexpr (kOc > 6) a6 = _mm512_set1_ps(bias[6]);
+      if constexpr (kOc > 7) a7 = _mm512_set1_ps(bias[7]);
+      for (std::size_t ic = 0; ic < g.in_c; ++ic) {
+        for (std::size_t ky = 0; ky < g.k; ++ky) {
+          const std::size_t iy = oy * g.stride + ky;
+          if (iy < g.pad || iy - g.pad >= g.in_h) continue;
+          const float* irow = in + ic * plane + (iy - g.pad) * g.in_w;
+          const float* wrow = w.base + (ic * kk + ky * g.k) * tap;
+          for (std::size_t kx = 0; kx < g.k; ++kx) {
+            const std::uint32_t bits = lanes.at(g, ox0, n, kx);
+            if (bits == 0) continue;  // an empty mask adds nothing
+            const auto m = static_cast<__mmask16>(bits);
+            __m512 x;
+            if (g.stride == 1) {
+              x = _mm512_maskz_loadu_ps(m, lane0_ptr(irow, ox0, g, kx));
+            } else {
+              alignas(64) float buf[16];
+              detail::fill_lanes<16>(irow, ox0, g, kx, bits, buf);
+              x = _mm512_load_ps(buf);
+            }
+            const float* wj = wrow + kx * tap;
+            tap16(a0, m, wj[0], x);
+            if constexpr (kOc > 1) tap16(a1, m, wj[ch], x);
+            if constexpr (kOc > 2) tap16(a2, m, wj[2 * ch], x);
+            if constexpr (kOc > 3) tap16(a3, m, wj[3 * ch], x);
+            if constexpr (kOc > 4) tap16(a4, m, wj[4 * ch], x);
+            if constexpr (kOc > 5) tap16(a5, m, wj[5 * ch], x);
+            if constexpr (kOc > 6) tap16(a6, m, wj[6 * ch], x);
+            if constexpr (kOc > 7) tap16(a7, m, wj[7 * ch], x);
+          }
+        }
       }
-    } else {
-      const std::uint32_t* wo = t.w_ofs + base;
-      for (std::size_t j = 0; j < taps; ++j) {
-        const v8sf v = v8sf{} + c[j];
-        acc0 += v8_load(gp0 + wo[j] * kWideConvLanes) * v;
-        acc1 += v8_load(gp1 + wo[j] * kWideConvLanes) * v;
-      }
+      float* o = out + oy * ow + ox0;
+      ok = store16(a0, o, n, ep, check, ok);
+      if constexpr (kOc > 1) ok = store16(a1, o + opix, n, ep, check, ok);
+      if constexpr (kOc > 2) ok = store16(a2, o + 2 * opix, n, ep, check, ok);
+      if constexpr (kOc > 3) ok = store16(a3, o + 3 * opix, n, ep, check, ok);
+      if constexpr (kOc > 4) ok = store16(a4, o + 4 * opix, n, ep, check, ok);
+      if constexpr (kOc > 5) ok = store16(a5, o + 5 * opix, n, ep, check, ok);
+      if constexpr (kOc > 6) ok = store16(a6, o + 6 * opix, n, ep, check, ok);
+      if constexpr (kOc > 7) ok = store16(a7, o + 7 * opix, n, ep, check, ok);
     }
-    float a[2 * kWideConvLanes];
-    __builtin_memcpy(a, &acc0, sizeof acc0);
-    __builtin_memcpy(a + kWideConvLanes, &acc1, sizeof acc1);
-    for (std::size_t i = 0; i < 2 * kWideConvLanes; ++i)
-      ok = finish(a[i], o[i] + p, ep, check, ok);
   }
   return ok;
 }
+
+// ------------------------------------------------------------ avx2 arm
+
+/// The lane bits as an AVX2 blend mask (all-ones lanes where set).
+__attribute__((target("avx2"))) inline __m256 mask8(
+    std::uint32_t bits) noexcept {
+  const __m256i lane = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+  return _mm256_castsi256_ps(_mm256_cmpeq_epi32(
+      _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(bits)), lane),
+      lane));
+}
+
+/// acc += w * x on the lanes of m only (blend keeps the others bitwise).
+__attribute__((target("avx2"), always_inline)) inline void tap8(
+    __m256& acc, __m256 m, float w, __m256 x) noexcept {
+  acc = _mm256_blendv_ps(
+      acc, _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(w), x)), m);
+}
+
+/// store16's 8-lane twin.
+__attribute__((target("avx2"))) inline bool store8(__m256 acc, float* o,
+                                                   std::size_t n, Epilogue ep,
+                                                   bool check,
+                                                   bool ok) noexcept {
+  const __m256 zero = _mm256_setzero_ps();
+  alignas(32) float t[8];
+  if (check) {
+    const int fin = _mm256_movemask_ps(
+        _mm256_cmp_ps(_mm256_mul_ps(acc, zero), zero, _CMP_EQ_OQ));
+    const int live = (1 << n) - 1;
+    if ((fin & live) != live) ok = false;
+  }
+  if (ep == Epilogue::kNone || ep == Epilogue::kRelu) {
+    const __m256 v = ep == Epilogue::kRelu ? _mm256_max_ps(acc, zero) : acc;
+    if (n == 8) {
+      _mm256_storeu_ps(o, v);
+      return ok;
+    }
+    _mm256_store_ps(t, v);
+    for (std::size_t l = 0; l < n; ++l) o[l] = t[l];
+  } else {
+    _mm256_store_ps(t, acc);
+    for (std::size_t l = 0; l < n; ++l) o[l] = apply_epilogue(t[l], ep);
+  }
+  return ok;
+}
+
+/// direct_block_avx512's 8-lane twin.
+template <std::size_t kOc, bool kPanel>
+__attribute__((target("avx2"))) bool direct_block_avx2(
+    WeightBlock w, const float* bias, const Conv2dGeom& g, const float* in,
+    float* out, Epilogue ep, bool check, bool ok) noexcept {
+  const std::size_t oh = g.out_h(), ow = g.out_w(), opix = oh * ow;
+  const std::size_t kk = g.k * g.k, plane = g.in_h * g.in_w;
+  const std::size_t tap = kPanel ? kWideConvLanes : 1;
+  const std::size_t ch = kPanel ? 1 : w.ch;
+  detail::LaneCache lanes;
+  for (std::size_t oy = 0; oy < oh; ++oy) {
+    for (std::size_t ox0 = 0; ox0 < ow; ox0 += 8) {
+      const std::size_t n = ow - ox0 < 8 ? ow - ox0 : 8;
+      lanes.fill(g, ox0, n);
+      __m256 a0, a1, a2, a3, a4, a5, a6, a7;
+      a0 = _mm256_set1_ps(bias[0]);
+      if constexpr (kOc > 1) a1 = _mm256_set1_ps(bias[1]);
+      if constexpr (kOc > 2) a2 = _mm256_set1_ps(bias[2]);
+      if constexpr (kOc > 3) a3 = _mm256_set1_ps(bias[3]);
+      if constexpr (kOc > 4) a4 = _mm256_set1_ps(bias[4]);
+      if constexpr (kOc > 5) a5 = _mm256_set1_ps(bias[5]);
+      if constexpr (kOc > 6) a6 = _mm256_set1_ps(bias[6]);
+      if constexpr (kOc > 7) a7 = _mm256_set1_ps(bias[7]);
+      for (std::size_t ic = 0; ic < g.in_c; ++ic) {
+        for (std::size_t ky = 0; ky < g.k; ++ky) {
+          const std::size_t iy = oy * g.stride + ky;
+          if (iy < g.pad || iy - g.pad >= g.in_h) continue;
+          const float* irow = in + ic * plane + (iy - g.pad) * g.in_w;
+          const float* wrow = w.base + (ic * kk + ky * g.k) * tap;
+          for (std::size_t kx = 0; kx < g.k; ++kx) {
+            const std::uint32_t bits = lanes.at(g, ox0, n, kx);
+            if (bits == 0) continue;
+            const __m256 m = mask8(bits);
+            __m256 x;
+            if (g.stride == 1) {
+              x = _mm256_maskload_ps(lane0_ptr(irow, ox0, g, kx),
+                                     _mm256_castps_si256(m));
+            } else {
+              alignas(32) float buf[8];
+              detail::fill_lanes<8>(irow, ox0, g, kx, bits, buf);
+              x = _mm256_load_ps(buf);
+            }
+            const float* wj = wrow + kx * tap;
+            tap8(a0, m, wj[0], x);
+            if constexpr (kOc > 1) tap8(a1, m, wj[ch], x);
+            if constexpr (kOc > 2) tap8(a2, m, wj[2 * ch], x);
+            if constexpr (kOc > 3) tap8(a3, m, wj[3 * ch], x);
+            if constexpr (kOc > 4) tap8(a4, m, wj[4 * ch], x);
+            if constexpr (kOc > 5) tap8(a5, m, wj[5 * ch], x);
+            if constexpr (kOc > 6) tap8(a6, m, wj[6 * ch], x);
+            if constexpr (kOc > 7) tap8(a7, m, wj[7 * ch], x);
+          }
+        }
+      }
+      float* o = out + oy * ow + ox0;
+      ok = store8(a0, o, n, ep, check, ok);
+      if constexpr (kOc > 1) ok = store8(a1, o + opix, n, ep, check, ok);
+      if constexpr (kOc > 2) ok = store8(a2, o + 2 * opix, n, ep, check, ok);
+      if constexpr (kOc > 3) ok = store8(a3, o + 3 * opix, n, ep, check, ok);
+      if constexpr (kOc > 4) ok = store8(a4, o + 4 * opix, n, ep, check, ok);
+      if constexpr (kOc > 5) ok = store8(a5, o + 5 * opix, n, ep, check, ok);
+      if constexpr (kOc > 6) ok = store8(a6, o + 6 * opix, n, ep, check, ok);
+      if constexpr (kOc > 7) ok = store8(a7, o + 7 * opix, n, ep, check, ok);
+    }
+  }
+  return ok;
+}
+
+using DirectBlockFn = bool (*)(WeightBlock, const float*, const Conv2dGeom&,
+                               const float*, float*, Epilogue, bool,
+                               bool) noexcept;
+
+/// One lane family's blocks: the 8-channel panel-group block, and the
+/// live-weight blocks by channel count (live[c] runs c channels).
+struct DirectBlocks {
+  DirectBlockFn panel;
+  DirectBlockFn live[kWideConvLanes + 1];
+};
+
+/// Walks the output channels in blocks: each full panel group as one
+/// 8-channel block, then the tail channels from the live weights.
+bool direct_conv(const DirectBlocks& blocks, const float* panel,
+                 const float* wt, const float* bias, const Conv2dGeom& g,
+                 const float* in, float* out, Epilogue ep,
+                 bool check) noexcept {
+  bool ok = true;
+  const std::size_t opix = g.opix(), patch = g.patch();
+  const std::size_t groups = g.out_c / kWideConvLanes;
+  const std::size_t gstride = align_up(patch * kWideConvLanes);
+  for (std::size_t grp = 0; grp < groups; ++grp) {
+    const std::size_t oc = grp * kWideConvLanes;
+    ok = blocks.panel(WeightBlock{panel + grp * gstride, kWideConvLanes, 1},
+                      bias + oc, g, in, out + oc * opix, ep, check, ok);
+  }
+  const std::size_t oc = groups * kWideConvLanes;
+  if (oc < g.out_c)
+    ok = blocks.live[g.out_c - oc](WeightBlock{wt + oc * patch, 1, patch},
+                                   bias + oc, g, in, out + oc * opix, ep,
+                                   check, ok);
+  return ok;
+}
+
+constexpr DirectBlocks kBlocks512{
+    &direct_block_avx512<8, true>,
+    {nullptr, &direct_block_avx512<1, false>, &direct_block_avx512<2, false>,
+     &direct_block_avx512<3, false>, &direct_block_avx512<4, false>,
+     &direct_block_avx512<5, false>, &direct_block_avx512<6, false>,
+     &direct_block_avx512<7, false>, &direct_block_avx512<8, false>}};
+
+constexpr DirectBlocks kBlocks256{
+    &direct_block_avx2<8, true>,
+    {nullptr, &direct_block_avx2<1, false>, &direct_block_avx2<2, false>,
+     &direct_block_avx2<3, false>, &direct_block_avx2<4, false>,
+     &direct_block_avx2<5, false>, &direct_block_avx2<6, false>,
+     &direct_block_avx2<7, false>, &direct_block_avx2<8, false>}};
 
 }  // namespace
 
-bool conv2d_im2col_wide_avx2(const float* panel, const float* wt,
-                             const float* bias, const ConvTables& t,
-                             const float* col, float* out, Epilogue ep,
-                             bool check) noexcept {
-  bool ok = true;
-  const std::size_t gstride = align_up(t.patch * kWideConvLanes);
-  const std::size_t groups = t.out_c / kWideConvLanes;
-  for (std::size_t g = 0; g < groups; ++g)
-    ok = wide_conv_group_avx2(panel + g * gstride, bias, t, col, out,
-                              g * kWideConvLanes, ep, check, ok);
-  return detail::conv_tail_sweep(wt, bias, t, col, out,
-                                 groups * kWideConvLanes, ep, check, ok);
+bool conv2d_direct_avx2(const float* panel, const float* wt,
+                        const float* bias, const Conv2dGeom& g,
+                        const float* in, float* out, Epilogue ep,
+                        bool check) noexcept {
+  return direct_conv(kBlocks256, panel, wt, bias, g, in, out, ep, check);
 }
 
-bool conv2d_im2col_wide_avx512(const float* panel, const float* wt,
-                               const float* bias, const ConvTables& t,
-                               const float* col, float* out, Epilogue ep,
-                               bool check) noexcept {
-  bool ok = true;
-  const std::size_t gstride = align_up(t.patch * kWideConvLanes);
-  const std::size_t groups = t.out_c / kWideConvLanes;
-  std::size_t g = 0;
-  for (; g + 2 <= groups; g += 2)
-    ok = wide_conv_group_pair_avx512(panel + g * gstride,
-                                     panel + (g + 1) * gstride, bias, t,
-                                     col, out, g * kWideConvLanes, ep,
-                                     check, ok);
-  for (; g < groups; ++g)
-    ok = wide_conv_group_avx2(panel + g * gstride, bias, t, col, out,
-                              g * kWideConvLanes, ep, check, ok);
-  return detail::conv_tail_sweep(wt, bias, t, col, out,
-                                 groups * kWideConvLanes, ep, check, ok);
+bool conv2d_direct_avx512(const float* panel, const float* wt,
+                          const float* bias, const Conv2dGeom& g,
+                          const float* in, float* out, Epilogue ep,
+                          bool check) noexcept {
+  return direct_conv(kBlocks512, panel, wt, bias, g, in, out, ep, check);
 }
 
 #else  // !SX_WIDE_X86
 
-bool conv2d_im2col_wide_avx2(const float* panel, const float* wt,
-                             const float* bias, const ConvTables& t,
-                             const float* col, float* out, Epilogue ep,
-                             bool check) noexcept {
-  return conv2d_im2col_wide_scalar(panel, wt, bias, t, col, out, ep, check);
+bool conv2d_direct_avx2(const float* panel, const float* wt,
+                        const float* bias, const Conv2dGeom& g,
+                        const float* in, float* out, Epilogue ep,
+                        bool check) noexcept {
+  return conv2d_direct_scalar(panel, wt, bias, g, in, out, ep, check);
 }
 
-bool conv2d_im2col_wide_avx512(const float* panel, const float* wt,
-                               const float* bias, const ConvTables& t,
-                               const float* col, float* out, Epilogue ep,
-                               bool check) noexcept {
-  return conv2d_im2col_wide_scalar(panel, wt, bias, t, col, out, ep, check);
+bool conv2d_direct_avx512(const float* panel, const float* wt,
+                          const float* bias, const Conv2dGeom& g,
+                          const float* in, float* out, Epilogue ep,
+                          bool check) noexcept {
+  return conv2d_direct_scalar(panel, wt, bias, g, in, out, ep, check);
 }
 
 #endif  // SX_WIDE_X86
@@ -511,13 +704,13 @@ DenseKernelFn wide_dense_kernel(WideIsa isa) noexcept {
   return &matvec_wide_scalar;
 }
 
-ConvKernelFn wide_conv_kernel(WideIsa isa) noexcept {
+DirectConvKernelFn wide_conv_kernel(WideIsa isa) noexcept {
   switch (isa) {
-    case WideIsa::kAvx2: return &conv2d_im2col_wide_avx2;
-    case WideIsa::kAvx512: return &conv2d_im2col_wide_avx512;
+    case WideIsa::kAvx2: return &conv2d_direct_avx2;
+    case WideIsa::kAvx512: return &conv2d_direct_avx512;
     case WideIsa::kScalar: break;
   }
-  return &conv2d_im2col_wide_scalar;
+  return &conv2d_direct_scalar;
 }
 
 }  // namespace sx::tensor::kernels

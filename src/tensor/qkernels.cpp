@@ -220,4 +220,24 @@ void qconv2d_im2col_packed(const std::int8_t* panel, const std::int8_t* wt,
   detail::qconv_tail_sweep(wt, t, col, rq, out, groups * kQConvLanes, sat);
 }
 
+void qmaxpool2d(const kernels::PoolGeom& g, const std::int8_t* in,
+                std::int8_t* out) noexcept {
+  const std::size_t oh = g.out_h(), ow = g.out_w(), w = g.window;
+  for (std::size_t ch = 0; ch < g.c; ++ch) {
+    const std::int8_t* plane = in + ch * g.in_h * g.in_w;
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        const std::int8_t* win = plane + oy * w * g.in_w + ox * w;
+        std::int8_t m = -128;
+        for (std::size_t dy = 0; dy < w; ++dy)
+          for (std::size_t dx = 0; dx < w; ++dx) {
+            const std::int8_t v = win[dy * g.in_w + dx];
+            m = v > m ? v : m;
+          }
+        *out++ = m;
+      }
+    }
+  }
+}
+
 }  // namespace sx::tensor::qkernels

@@ -1,6 +1,7 @@
 // Deploy-time-planned int8 kernels: register-blocked int8 x int8 -> int32
-// matvec/GEMM and the ragged-im2col Conv2d lowering with fused
-// requantize(+ReLU) epilogues (pillar 3: the quantized deployment path).
+// matvec/GEMM, the ragged-im2col and direct Conv2d lowerings with fused
+// requantize(+ReLU) epilogues, and a planned MaxPool2d (pillar 3: the
+// quantized deployment path).
 //
 // Every kernel preserves the *per-output accumulation order* of the
 // reference loops in dl/quant.cpp: each output element accumulates the same
@@ -15,9 +16,12 @@
 //   - row blocking: kRowBlock independent int32 accumulation chains per
 //     sweep break the serial dependency chain of the reference loop (ILP)
 //     and stream the quantized input vector once per block;
-//   - deploy-time im2col: the dtype-agnostic geometry and index tables of
-//     tensor/kernels.hpp (Conv2dGeom, build_im2col_tables, ConvTables) are
-//     reused verbatim — only the gather and the GEMM change element type;
+//   - deploy-time im2col (kBlocked, kPacked): the dtype-agnostic geometry
+//     and index tables of tensor/kernels.hpp (Conv2dGeom,
+//     build_im2col_tables, ConvTables) are reused verbatim — only the
+//     gather and the GEMM change element type;
+//   - direct convolution (kWide): output pixels in the SIMD lanes over the
+//     CHW input rows in place, no gather;
 //   - fused requantize epilogue: float(acc) * w_scale * in_scale + bias,
 //     quantized at the layer's activation scale; an immediately following
 //     int8 ReLU (out = q > 0 ? q : 0) folds into the same store. Both
@@ -178,10 +182,10 @@ void qconv2d_im2col_packed(const std::int8_t* panel, const std::int8_t* wt,
 // ------------------------------------------------- Wide (kWide) backends
 //
 // Widened int8 x int8 -> int32 dot-product microkernels: 32-row Dense
-// blocks and 16-channel Conv2d lane groups, each in three variants that
-// compute the *identical* fixed accumulation tree — a portable scalar
-// twin, a 16-byte-load AVX2-class sweep, and a 32-byte-load AVX-512-class
-// sweep. One output element is always one serial int32 chain in strict
+// blocks and direct Conv2d (output pixels in the lanes), each in three
+// variants that compute the *identical* fixed accumulation tree — a
+// portable scalar twin, an AVX2-class sweep, and an AVX-512-class sweep.
+// One output element is always one serial int32 chain in strict
 // reference order; the SIMD runs independent chains side by side
 // (broadcast multiplicand, sign-extended lane loads, no partial-sum
 // restructuring), so the overflow envelope matches the audited reference
@@ -190,8 +194,8 @@ void qconv2d_im2col_packed(const std::int8_t* panel, const std::int8_t* wt,
 // SIMD entry points are the scalar twin.
 
 /// Output rows per wide Dense sweep (32 int8 lanes = one 256-bit load or
-/// two 128-bit loads per column) and output channels per wide Conv2d lane
-/// group (16 int8 lanes = one 128-bit load per tap).
+/// two 128-bit loads per column) and output channels per wide Conv2d
+/// panel group (two 8-channel register blocks of the direct kernels).
 inline constexpr std::size_t kQWideRowBlock = 32;
 inline constexpr std::size_t kQWideConvLanes = 16;
 
@@ -239,35 +243,48 @@ std::size_t qwide_conv_panel_bytes(std::size_t out_c,
 void pack_qwide_conv_panel(const std::int8_t* wt, std::size_t out_c,
                            std::size_t patch, std::int8_t* panel) noexcept;
 
-/// Wide conv over the 16-channel lane panel — portable scalar twin. Tail
-/// channels read the live weights via the shared scalar sweeps.
-void qconv2d_im2col_wide_scalar(const std::int8_t* panel,
-                                const std::int8_t* wt,
-                                const kernels::ConvTables& t,
-                                const std::int8_t* col, const Requant& rq,
-                                std::int8_t* out,
-                                std::uint64_t* sat) noexcept;
+/// Direct int8 Conv2d over the CHW input, read in place (no im2col
+/// gather) — the kWide int8 conv lowering, for every stride and padding.
+/// The lanes hold consecutive output pixels of one output row (16 on
+/// avx512, 8 on avx2; the scalar twin runs one int32 chain per pixel) and
+/// up to 8 output channels are register-blocked as named int32
+/// accumulators; each output keeps its reference chain of (ic, valid ky,
+/// valid kx) products. A padding-clipped tap enters its lane as an input
+/// of exactly 0, which adds 0 to the int32 chain — an identity, unlike
+/// the float kernels' case — and the loads never touch memory outside
+/// the in_c * in_h * in_w input bytes (AVX-512F-only instructions: a
+/// bounded copy stands in for byte-masked loads at the buffer ends). The
+/// requantize epilogue is the reference expression evaluated lane-wise,
+/// clip before the cast, saturation counted from the clip masks. Full
+/// kQWideConvLanes-channel groups read their weights from the wide conv
+/// panel, the tail channels the live weights `wt`; `panel` may be null
+/// when out_c < kQWideConvLanes.
+void qconv2d_direct_scalar(const std::int8_t* panel, const std::int8_t* wt,
+                           const kernels::Conv2dGeom& g,
+                           const std::int8_t* in, const Requant& rq,
+                           std::int8_t* out, std::uint64_t* sat) noexcept;
+void qconv2d_direct_avx2(const std::int8_t* panel, const std::int8_t* wt,
+                         const kernels::Conv2dGeom& g, const std::int8_t* in,
+                         const Requant& rq, std::int8_t* out,
+                         std::uint64_t* sat) noexcept;
+void qconv2d_direct_avx512(const std::int8_t* panel, const std::int8_t* wt,
+                           const kernels::Conv2dGeom& g,
+                           const std::int8_t* in, const Requant& rq,
+                           std::int8_t* out, std::uint64_t* sat) noexcept;
 
-/// AVX2-class variant: two 8-lane int32 accumulators per group.
-void qconv2d_im2col_wide_avx2(const std::int8_t* panel,
-                              const std::int8_t* wt,
-                              const kernels::ConvTables& t,
-                              const std::int8_t* col, const Requant& rq,
-                              std::int8_t* out, std::uint64_t* sat) noexcept;
-
-/// AVX-512-class variant: one 16-lane int32 accumulator per group.
-void qconv2d_im2col_wide_avx512(const std::int8_t* panel,
-                                const std::int8_t* wt,
-                                const kernels::ConvTables& t,
-                                const std::int8_t* col, const Requant& rq,
-                                std::int8_t* out,
-                                std::uint64_t* sat) noexcept;
+/// Planned int8 max pooling: each window starts at -128 and folds
+/// `v > m ? v : m` in the reference (dy, dx) order — byte-identical to
+/// QuantizedModel's MaxPool2d layer (which never clips).
+void qmaxpool2d(const kernels::PoolGeom& g, const std::int8_t* in,
+                std::int8_t* out) noexcept;
 
 /// Per-step int8 kernel entry points resolved once at plan-construction
 /// time so the engine hot path stays branch-free. qmatvec_blocked (live
 /// weights) and qmatvec_packed / the wide variants (panel) share the
 /// Dense shape; conv kernels take both the panel and the live weights
 /// (panel-less steps pass panel == nullptr and use qconv2d_im2col_live).
+/// QConvKernelFn is the im2col shape of kBlocked/kPacked, QDirectConvKernelFn
+/// the direct shape of kWide.
 using QDenseKernelFn = void (*)(const std::int8_t* w_or_panel,
                                 std::size_t rows, std::size_t cols,
                                 const std::int8_t* x, const Requant& rq,
@@ -286,8 +303,15 @@ void qconv2d_im2col_live(const std::int8_t* panel, const std::int8_t* wt,
                          const Requant& rq, std::int8_t* out,
                          std::uint64_t* sat) noexcept;
 
+using QDirectConvKernelFn = void (*)(const std::int8_t* panel,
+                                     const std::int8_t* wt,
+                                     const kernels::Conv2dGeom& g,
+                                     const std::int8_t* in, const Requant& rq,
+                                     std::int8_t* out,
+                                     std::uint64_t* sat) noexcept;
+
 /// The wide kernel family for a probed/selected ISA (deploy-time only).
 QDenseKernelFn wide_qdense_kernel(kernels::WideIsa isa) noexcept;
-QConvKernelFn wide_qconv_kernel(kernels::WideIsa isa) noexcept;
+QDirectConvKernelFn wide_qconv_kernel(kernels::WideIsa isa) noexcept;
 
 }  // namespace sx::tensor::qkernels

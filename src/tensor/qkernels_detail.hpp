@@ -1,7 +1,7 @@
-// Internal helpers shared by the int8 kernel translation units
-// (qkernels.cpp and qkernels_wide.cpp). Everything here preserves the
-// reference per-output accumulation order — see the header comment of
-// tensor/qkernels.hpp for the contract. Not part of the public API.
+// Internal helpers of the int8 im2col kernels (qkernels.cpp). Everything
+// here preserves the reference per-output accumulation order — see the
+// header comment of tensor/qkernels.hpp for the contract. Not part of the
+// public API.
 #pragma once
 
 #include "tensor/qkernels.hpp"
@@ -60,9 +60,8 @@ inline void qconv_oc_sweep(const std::int8_t* wt,
 
 /// Sweeps output channels oc0..out_c over the live weights: full
 /// kOcBlock-channel sweeps first, then the 1..7-channel remainder. Used as
-/// the whole unpacked conv kernel (oc0 == 0) and as the tail of every
-/// packed lane-panel variant (8-lane and 16-lane wide alike — a wide tail
-/// can be up to 15 channels, which this covers as 8 + remainder).
+/// the whole unpacked conv kernel (oc0 == 0) and as the tail of the
+/// packed lane-panel variant.
 inline void qconv_tail_sweep(const std::int8_t* wt,
                              const kernels::ConvTables& t,
                              const std::int8_t* col, const Requant& rq,

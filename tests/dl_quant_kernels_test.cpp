@@ -178,7 +178,8 @@ TEST(QuantKernelPlan, PlanShapeMatchesArchitecture) {
   EXPECT_EQ(plan.planned_dense(), 1u);
   EXPECT_EQ(plan.fused_relus(), 1u);   // conv+relu fuse
   EXPECT_EQ(plan.removed_layers(), 1u);  // flatten dce'd outright
-  EXPECT_EQ(plan.reference_steps(), 1u);  // maxpool
+  EXPECT_EQ(plan.planned_pool(), 1u);      // maxpool is a planned step
+  EXPECT_EQ(plan.reference_steps(), 0u);
   EXPECT_GT(plan.panel_bytes(), 0u);
   EXPECT_GT(plan.table_entries(), 0u);
   EXPECT_GT(plan.scratch_bytes(), 0u);

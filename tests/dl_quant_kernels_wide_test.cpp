@@ -1,12 +1,13 @@
 // Differential sweeps for the widened int8 (kWide) dot-product
 // microkernels and the planned int8 engine running on top of them.
 //
-// Contract under test: the 32-row Dense and 16-channel Conv2d wide
+// Contract under test: the 32-row Dense and the direct Conv2d wide
 // microkernels preserve the per-output int32 accumulation chain of the
 // audited reference loops in dl/quant.cpp — so the scalar twin, AVX2 and
 // AVX-512 variants must be bitwise identical to qmatvec_blocked /
 // qconv2d_im2col in outputs AND saturation counts, across ragged tails
-// off the 32/16-lane groups, and the kWide QuantEngine must match the
+// off the 32-row blocks, the 8/16-pixel lane chunks and the 16-channel
+// panel groups, and the kWide QuantEngine must match the
 // reference QuantizedModel::run bit for bit (logits and per-layer
 // counters), including under the SX_KERNEL_ISA override. SIMD variants
 // run only where the CPU probe reports the ISA.
@@ -48,12 +49,13 @@ std::vector<std::pair<const char*, qk::QDenseKernelFn>> qdense_variants() {
   return v;
 }
 
-std::vector<std::pair<const char*, qk::QConvKernelFn>> qconv_variants() {
+std::vector<std::pair<const char*, qk::QDirectConvKernelFn>>
+qconv_variants() {
   const platform::CpuProbe p = platform::probe_cpu();
-  std::vector<std::pair<const char*, qk::QConvKernelFn>> v;
-  v.emplace_back("scalar", &qk::qconv2d_im2col_wide_scalar);
-  if (p.avx2) v.emplace_back("avx2", &qk::qconv2d_im2col_wide_avx2);
-  if (p.avx512f) v.emplace_back("avx512", &qk::qconv2d_im2col_wide_avx512);
+  std::vector<std::pair<const char*, qk::QDirectConvKernelFn>> v;
+  v.emplace_back("scalar", &qk::qconv2d_direct_scalar);
+  if (p.avx2) v.emplace_back("avx2", &qk::qconv2d_direct_avx2);
+  if (p.avx512f) v.emplace_back("avx512", &qk::qconv2d_direct_avx512);
   return v;
 }
 
@@ -103,63 +105,100 @@ TEST(WideQMatvec, BitwiseEqualsBlockedWithSaturationParity) {
 }
 
 TEST(WideQConv, BitwiseEqualsUnpackedAcrossGeometriesAndIsas) {
+  // Direct int8 conv vs the unpacked im2col kernel (itself bitwise equal
+  // to QuantizedModel's loop — dl_quant_kernels_test): outputs AND clip
+  // counts, over lane chunks and tails (in_w 1..33 against 8/16 lanes),
+  // every clipping pattern, both strides, and channel counts around the
+  // 16-channel panel group (1..9: tail only; 16: panel only; 19, 21, 32:
+  // panel and/or tail).
   namespace k = tensor::kernels;
   util::Xoshiro256 rng{405};
-  for (std::size_t in_c : {1u, 3u}) {
-    for (std::size_t kk : {1u, 3u}) {
-      for (std::size_t pad : {0u, 1u}) {
-        // 16 = one full wide lane group; 32 = two; 21 = one group + 5 tail
-        // channels (8-wide sub-sweep + switch); 11 = tail-only.
-        for (std::size_t out_c : {11u, 16u, 21u, 32u}) {
-          const std::size_t in_h = 6, in_w = 5, stride = 1;
-          if (in_h + 2 * pad < kk) continue;
-          const k::Conv2dGeom g{.in_c = in_c, .in_h = in_h, .in_w = in_w,
-                                .out_c = out_c, .k = kk, .stride = stride,
-                                .pad = pad};
-          const std::size_t entries = k::im2col_entries(g);
-          std::vector<std::uint32_t> pix_off(g.opix() + 1), in_idx(entries),
-              w_ofs(entries);
-          k::build_im2col_tables(g, pix_off.data(), in_idx.data(),
-                                 w_ofs.data());
-          const auto wt = random_i8(out_c * g.patch(), rng);
-          const auto img = random_i8(in_c * in_h * in_w, rng);
-          std::vector<std::int8_t> col(entries);
-          qk::im2col_gather_i8(img.data(), in_idx.data(), entries,
-                               col.data());
-          std::vector<float> wsc(out_c), bias(out_c);
-          for (auto& s : wsc)
-            s = static_cast<float>(rng.uniform(0.001, 0.02));
-          for (auto& b : bias)
-            b = static_cast<float>(rng.uniform(-0.5, 0.5));
-          const qk::Requant rq{wsc.data(), true, bias.data(), 0.04f, 0.02f,
-                               true};
-          const k::ConvTables t{.out_c = out_c, .patch = g.patch(),
-                                .opix = g.opix(), .pix_off = pix_off.data(),
-                                .in_idx = in_idx.data(),
-                                .w_ofs = w_ofs.data()};
-          const std::size_t n = out_c * g.opix();
-          std::vector<std::int8_t> ref(n, -7);
-          std::uint64_t ref_sat = 0;
-          qk::qconv2d_im2col(wt.data(), t, col.data(), rq, ref.data(),
-                             &ref_sat);
+  std::size_t cases = 0;
+  for (std::size_t in_w : {1u, 5u, 16u, 17u, 33u}) {
+    for (std::size_t kk : {1u, 3u, 5u}) {
+      for (std::size_t pad : {0u, 1u, 2u}) {
+        for (std::size_t stride : {1u, 2u}) {
+          for (std::size_t out_c : {1u, 4u, 6u, 8u, 9u, 16u, 19u, 21u, 32u}) {
+            const std::size_t in_c = 1 + cases % 3, in_h = 4 + cases % 3;
+            if (in_h + 2 * pad < kk || in_w + 2 * pad < kk) continue;
+            const k::Conv2dGeom g{.in_c = in_c, .in_h = in_h, .in_w = in_w,
+                                  .out_c = out_c, .k = kk, .stride = stride,
+                                  .pad = pad};
+            const std::size_t entries = k::im2col_entries(g);
+            std::vector<std::uint32_t> pix_off(g.opix() + 1),
+                in_idx(entries), w_ofs(entries);
+            k::build_im2col_tables(g, pix_off.data(), in_idx.data(),
+                                   w_ofs.data());
+            const auto wt = random_i8(out_c * g.patch(), rng);
+            const auto img = random_i8(in_c * in_h * in_w, rng);
+            std::vector<std::int8_t> col(entries);
+            qk::im2col_gather_i8(img.data(), in_idx.data(), entries,
+                                 col.data());
+            std::vector<float> wsc(out_c), bias(out_c);
+            for (auto& sc : wsc)
+              sc = static_cast<float>(rng.uniform(0.001, 0.02));
+            for (auto& b : bias)
+              b = static_cast<float>(rng.uniform(-0.5, 0.5));
+            // Small out_scale so some outputs clip: saturation parity must
+            // be non-vacuous. Alternate per-channel/per-tensor and ReLU.
+            const qk::Requant rq{wsc.data(), cases % 2 == 0, bias.data(),
+                                 0.04f, 0.02f, cases % 4 < 2};
+            const k::ConvTables t{.out_c = out_c, .patch = g.patch(),
+                                  .opix = g.opix(),
+                                  .pix_off = pix_off.data(),
+                                  .in_idx = in_idx.data(),
+                                  .w_ofs = w_ofs.data()};
+            const std::size_t n = out_c * g.opix();
+            std::vector<std::int8_t> ref(n, -7);
+            std::uint64_t ref_sat = 0;
+            qk::qconv2d_im2col(wt.data(), t, col.data(), rq, ref.data(),
+                               &ref_sat);
 
-          std::vector<std::int8_t> panel(
-              qk::qwide_conv_panel_bytes(out_c, g.patch()), -1);
-          qk::pack_qwide_conv_panel(wt.data(), out_c, g.patch(),
-                                    panel.data());
-          for (const auto& [name, fn] : qconv_variants()) {
-            std::vector<std::int8_t> out(n, -7);
-            std::uint64_t sat = 0;
-            fn(panel.empty() ? nullptr : panel.data(), wt.data(), t,
-               col.data(), rq, out.data(), &sat);
-            EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), n))
-                << "qwide/" << name << " in_c=" << in_c << " k=" << kk
-                << " pad=" << pad << " out_c=" << out_c;
-            EXPECT_EQ(sat, ref_sat) << "qwide/" << name;
+            std::vector<std::int8_t> panel(
+                qk::qwide_conv_panel_bytes(out_c, g.patch()), -1);
+            qk::pack_qwide_conv_panel(wt.data(), out_c, g.patch(),
+                                      panel.data());
+            for (const auto& [name, fn] : qconv_variants()) {
+              std::vector<std::int8_t> out(n, -7);
+              std::uint64_t sat = 0;
+              fn(panel.empty() ? nullptr : panel.data(), wt.data(), g,
+                 img.data(), rq, out.data(), &sat);
+              EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), n))
+                  << "qdirect/" << name << " in_c=" << in_c
+                  << " in_w=" << in_w << " k=" << kk << " stride=" << stride
+                  << " pad=" << pad << " out_c=" << out_c;
+              EXPECT_EQ(sat, ref_sat) << "qdirect/" << name;
+            }
+            ++cases;
           }
         }
       }
     }
+  }
+  EXPECT_GT(cases, 600u);
+}
+
+TEST(WideQConv, SaturationCountsMatchWithNullCounter) {
+  // A null counter is legal (quantize_sat skips it); the SIMD clip counts
+  // must then be skipped too, with identical output bytes.
+  namespace k = tensor::kernels;
+  util::Xoshiro256 rng{406};
+  const k::Conv2dGeom g{.in_c = 3, .in_h = 5, .in_w = 18, .out_c = 8,
+                        .k = 3, .stride = 1, .pad = 1};
+  const auto wt = random_i8(g.out_c * g.patch(), rng);
+  const auto img = random_i8(g.in_c * g.in_h * g.in_w, rng);
+  std::vector<float> wsc(1, 0.01f), bias(g.out_c, 0.1f);
+  const qk::Requant rq{wsc.data(), false, bias.data(), 0.04f, 0.01f, false};
+  const std::size_t n = g.out_c * g.opix();
+  std::vector<std::int8_t> ref(n);
+  std::uint64_t ref_sat = 0;
+  qk::qconv2d_direct_scalar(nullptr, wt.data(), g, img.data(), rq, ref.data(),
+                            &ref_sat);
+  EXPECT_GT(ref_sat, 0u);
+  for (const auto& [name, fn] : qconv_variants()) {
+    std::vector<std::int8_t> out(n, -7);
+    fn(nullptr, wt.data(), g, img.data(), rq, out.data(), nullptr);
+    EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), n)) << name;
   }
 }
 
@@ -171,11 +210,10 @@ TEST(WideQDispatch, SelectorsReturnIsaSpecificEntryPoints) {
   EXPECT_EQ(qk::wide_qdense_kernel(WideIsa::kAvx512),
             &qk::qmatvec_wide_avx512);
   EXPECT_EQ(qk::wide_qconv_kernel(WideIsa::kScalar),
-            &qk::qconv2d_im2col_wide_scalar);
-  EXPECT_EQ(qk::wide_qconv_kernel(WideIsa::kAvx2),
-            &qk::qconv2d_im2col_wide_avx2);
+            &qk::qconv2d_direct_scalar);
+  EXPECT_EQ(qk::wide_qconv_kernel(WideIsa::kAvx2), &qk::qconv2d_direct_avx2);
   EXPECT_EQ(qk::wide_qconv_kernel(WideIsa::kAvx512),
-            &qk::qconv2d_im2col_wide_avx512);
+            &qk::qconv2d_direct_avx512);
 }
 
 // ------------------------------------------------- engine-level identity
@@ -245,6 +283,54 @@ TEST(WideQuantEngine, BitwiseIdenticalToReferenceUnderIsaOverrides) {
       for (std::size_t i = 0; i < n_out; ++i)
         ASSERT_TRUE(bits_equal(r[i], p[i]))
             << "isa=" << isa << " logit " << i;
+    }
+    const auto rc = ref.saturation_counts();
+    const auto pc = eng.saturation_counts();
+    ASSERT_EQ(rc.size(), pc.size());
+    for (std::size_t i = 0; i < rc.size(); ++i)
+      EXPECT_EQ(rc[i], pc[i]) << "isa=" << isa << " layer " << i;
+  }
+  ASSERT_EQ(unsetenv("SX_KERNEL_ISA"), 0);
+}
+
+TEST(WideQuantEngine, DirectConvCnnMatchesReferenceRunAndCounters) {
+  // The deployed geometry (8-channel 3x3 convs, no int8 panel group: all
+  // live weights) plus a strided 9-channel conv and a planned maxpool, on
+  // every probed ISA: logits and per-layer clip counters bit for bit.
+  ModelBuilder b{Shape::chw(1, 16, 16)};
+  b.conv2d(8, 3, 1, 1)
+      .relu()
+      .conv2d(9, 3, /*stride=*/2, /*padding=*/1)
+      .relu()
+      .maxpool(2)
+      .flatten()
+      .dense(5);
+  const Model m = b.build(808);
+  const Dataset cal = toy_dataset(Shape::chw(1, 16, 16), 12, 31);
+  const QuantizedModel qm = QuantizedModel::quantize(m, cal);
+
+  const platform::CpuProbe probe = platform::probe_cpu();
+  std::vector<const char*> isas = {"scalar"};
+  if (probe.avx2) isas.push_back("avx2");
+  if (probe.avx512f) isas.push_back("avx512");
+  const std::size_t n_out = qm.output_shape().size();
+  for (const char* isa : isas) {
+    ASSERT_EQ(setenv("SX_KERNEL_ISA", isa, 1), 0);
+    QuantizedModel ref = qm;
+    QuantEngine eng{qm, QuantEngineConfig{.kernels = KernelMode::kWide}};
+    ASSERT_NE(eng.plan(), nullptr);
+    EXPECT_EQ(eng.plan()->reference_steps(), 0u);
+    EXPECT_EQ(eng.plan()->planned_pool(), 1u);
+    EXPECT_EQ(eng.plan()->lowering(), "conv=direct pool=1");
+    std::vector<float> r(n_out), p(n_out);
+    util::Xoshiro256 rng{78};
+    for (int it = 0; it < 8; ++it) {
+      Tensor in{Shape::chw(1, 16, 16)};
+      in.init_uniform(rng, -3.0f, 3.0f);
+      ASSERT_EQ(ref.run(in.view(), r), Status::kOk);
+      ASSERT_EQ(eng.run(in.view(), p), Status::kOk);
+      for (std::size_t i = 0; i < n_out; ++i)
+        ASSERT_TRUE(bits_equal(r[i], p[i])) << "isa=" << isa << " logit " << i;
     }
     const auto rc = ref.saturation_counts();
     const auto pc = eng.saturation_counts();

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "core/report.hpp"
@@ -547,6 +548,53 @@ TEST(KernelPlanEngine, TappedRunMatchesForwardTraceBitwise) {
       }
     }
   }
+}
+
+TEST(PlannedMaxPool, BitwiseEqualsReferenceWithNanAndSignedZeros) {
+  // Windows seeded with NaN (skipped by `v > m`, or -inf when every
+  // element is NaN), +0/-0 ties (the first of the window order wins) and
+  // -inf: the planned step must store the reference bits exactly.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  util::Xoshiro256 rng{61};
+  for (std::size_t w : {1u, 2u, 3u}) {
+    const PoolGeom g{.c = 3, .in_h = 6, .in_w = 12 / w * w, .window = w};
+    Tensor in{Shape::chw(g.c, g.in_h, g.in_w)};
+    in.init_uniform(rng, -1.0f, 1.0f);
+    const std::span<float> d = in.data();
+    const float specials[] = {nan, 0.0f, -0.0f, -inf, inf};
+    for (std::size_t i = 0; i < d.size(); i += 3)
+      d[i] = specials[(i / 3) % 5];
+    if (w > 1)  // one all-NaN window: the reference keeps -inf
+      for (std::size_t dy = 0; dy < w; ++dy)
+        for (std::size_t dx = 0; dx < w; ++dx) d[dy * g.in_w + dx] = nan;
+    dl::MaxPool2d layer{w};
+    const Shape out_shape = Shape::chw(g.c, g.out_h(), g.out_w());
+    std::vector<float> ref(out_shape.size(), 7.0f), got(ref.size(), 7.0f);
+    ASSERT_EQ(layer.forward(in.view(), TensorView{ref, out_shape}),
+              Status::kOk);
+    maxpool2d(g, d.data(), got.data());
+    EXPECT_TRUE(BitEqual(got, ref)) << "window " << w;
+  }
+}
+
+TEST(PlannedMaxPool, EveryPlannedModeLeavesNoReferenceStep) {
+  for (const KernelMode mode : dl::all_kernel_modes()) {
+    if (mode == KernelMode::kReference) continue;
+    const KernelPlan plan{sx::testing::trained_cnn(), mode};
+    EXPECT_EQ(plan.planned_pool(), 1u) << dl::kernel_mode_name(mode);
+    EXPECT_EQ(plan.reference_steps(), 0u) << dl::kernel_mode_name(mode);
+    EXPECT_NE(plan.summary().find("pool=1"), std::string::npos);
+  }
+}
+
+TEST(KernelPlanEvidence, NamesConvLoweringPerPlan) {
+  const KernelPlan packed{sx::testing::trained_cnn(), KernelMode::kPacked};
+  const KernelPlan wide{sx::testing::trained_cnn(), KernelMode::kWide};
+  EXPECT_EQ(packed.lowering(), "conv=im2col pool=1");
+  EXPECT_EQ(wide.lowering(), "conv=direct pool=1");
+  EXPECT_NE(wide.summary().find("lowering conv=direct"), std::string::npos)
+      << wide.summary();
 }
 
 TEST(KernelPlanEvidence, SummaryAndReportLines) {
